@@ -8,6 +8,7 @@ import numpy as np
 
 from quadplan import (
     ObstacleSpec,
+    RegionSampler,
     connectivity_penalty,
     filter_region,
     is_connected,
@@ -15,7 +16,6 @@ from quadplan import (
     oracle_region,
     random_cluttered_map,
     safety_penalty,
-    sample_region,
 )
 
 spec = ObstacleSpec(count=(15, 20), size_min=(2, 2, 2), size_max=(4, 4, 6))
@@ -50,7 +50,8 @@ print(f"filtered region: {int(usable.values.sum())} member voxels")
 
 # Sampling draws voxels proportionally to value, then uniformly inside.
 rng = np.random.default_rng(0)
-pts = np.array([sample_region(usable, rng) for _ in range(1000)])
+sampler = RegionSampler(usable)
+pts = np.array([sampler.sample(rng) for _ in range(1000)])
 inside = sum(
     usable.values[tuple(np.floor(p).astype(int))] > 0 for p in pts
 )

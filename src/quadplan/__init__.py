@@ -24,6 +24,7 @@ from .regions import (
     HeuristicRegion,
     NoPathError,
     RegionFileError,
+    RegionSampler,
     astar_path,
     connectivity_penalty,
     dilate_path,
@@ -33,7 +34,6 @@ from .regions import (
     load_region,
     oracle_region,
     safety_penalty,
-    sample_region,
     save_region,
     state_map,
 )
@@ -57,6 +57,7 @@ from .trajectory import (
     PiecewisePolynomial,
     RepairExhaustedError,
     SingularSystemError,
+    TrajectoryFileError,
     banded_plu_solve,
     build_banded_system,
     collision_repair,
@@ -73,6 +74,7 @@ from .pipeline import (
     PipelineResult,
     PlanningFailure,
     flat_flag_at,
+    plan_front_end,
     plan_trajectory,
     prune_collinear,
     yaw_profile,

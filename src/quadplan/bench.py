@@ -12,9 +12,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import GoalRegion, OccupancyGrid, ObstacleSpec, random_cluttered_map
-from .pipeline import prune_collinear
-from .planner import PlannerConfig, plan
-from .regions import NoPathError, filter_region, oracle_region
+from .pipeline import plan_front_end, prune_collinear
+from .planner import PlannerConfig
+from .regions import NoPathError
 from .trajectory import (
     BivpSpec,
     banded_plu_solve,
@@ -23,24 +23,6 @@ from .trajectory import (
     solve_bivp,
     trapezoidal_time_allocation,
 )
-
-CSV_COLUMNS = [
-    "map",
-    "mode",
-    "seed",
-    "success",
-    "init_iter",
-    "init_nodes",
-    "init_cost",
-    "init_time_ms",
-    "opt_iter",
-    "opt_nodes",
-    "opt_time_ms",
-    "jerk_solve_ms",
-    "snap_solve_ms",
-    "final_cost",
-    "effort",
-]
 
 _AGG_FIELDS = [
     "init_iter",
@@ -55,6 +37,8 @@ _AGG_FIELDS = [
     "final_cost",
     "effort",
 ]
+
+CSV_COLUMNS = ["map", "mode", "seed", "success", *_AGG_FIELDS]
 
 
 @dataclass
@@ -160,17 +144,10 @@ def run_trial(
         target_cost=target_cost,
         rng_seed=seed,
     )
-    region = None
-    if mode == "heuristic":
-        sv = case.grid.world_to_index(case.start)
-        gv = case.grid.world_to_index(case.goal.center)
-        try:
-            region = filter_region(
-                oracle_region(case.grid, sv, gv), case.grid, sv, gv
-            )
-        except NoPathError:
-            return TrialRecord(case.name, mode, seed, success=False)
-    result = plan(case.grid, case.start, cfg, mode=mode, region=region)
+    try:
+        result = plan_front_end(case.grid, case.start, case.goal, cfg, mode)
+    except NoPathError:
+        return TrialRecord(case.name, mode, seed, success=False)
     rec = TrialRecord(case.name, mode, seed, success=result.stats.success)
     st = result.stats
     if not st.success:

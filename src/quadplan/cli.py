@@ -8,27 +8,11 @@ import sys
 import numpy as np
 
 from . import bench as bench_mod
-from .grid import (
-    GoalRegion,
-    ObstacleSpec,
-    inflate,
-    load_grid,
-    random_cluttered_map,
-    save_grid,
-)
-from .pipeline import PipelineConfig, PlanningFailure, plan_trajectory
-from .planner import PlannerConfig, plan, save_path
+from .grid import GoalRegion, ObstacleSpec, load_grid, random_cluttered_map, save_grid
+from .pipeline import PipelineConfig, plan_trajectory
+from .planner import PlannerConfig, save_path
 from .regions import filter_region, load_region, oracle_region, save_region
-from .trajectory import (
-    BivpSpec,
-    collision_repair,
-    control_effort,
-    export_csv,
-    load_trajectory,
-    save_trajectory,
-    solve_bivp,
-    trapezoidal_time_allocation,
-)
+from .trajectory import control_effort, export_csv, load_trajectory, save_trajectory
 
 
 def _triple(text: str, cast=float):
@@ -44,7 +28,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("plan", help="plan a trajectory on a stored map")
     p.add_argument("--map", required=True)
-    p.add_argument("--region", help="external heuristic region file")
+    p.add_argument("--region", help="external heuristic region file (heuristic mode only)")
     p.add_argument("--start", required=True, type=_triple)
     p.add_argument("--goal", required=True, type=_triple)
     p.add_argument("--goal-radius", type=float, default=1.0)
@@ -101,53 +85,29 @@ def _cmd_plan(args) -> int:
     grid = load_grid(args.map)
     goal = GoalRegion(np.asarray(args.goal), args.goal_radius)
     step = args.step if args.step is not None else 2.0 * grid.resolution
-    planner_cfg = PlannerConfig(
-        step=step,
-        goal=goal,
-        max_iterations=args.max_iter,
-        mu1=args.mu1,
-        mu2=args.mu2,
-        target_cost=args.target_cost,
-        rng_seed=args.seed,
+    cfg = PipelineConfig(
+        planner=PlannerConfig(
+            step=step,
+            goal=goal,
+            max_iterations=args.max_iter,
+            mu1=args.mu1,
+            mu2=args.mu2,
+            target_cost=args.target_cost,
+            rng_seed=args.seed,
+        ),
+        s=args.s,
+        v_max=args.vmax,
+        a_max=args.amax,
+        inflate_radius=args.inflate,
     )
-    if args.mode == "heuristic" and args.region is None:
-        cfg = PipelineConfig(
-            planner=planner_cfg,
-            s=args.s,
-            v_max=args.vmax,
-            a_max=args.amax,
-            inflate_radius=args.inflate,
-        )
-        result = plan_trajectory(grid, np.asarray(args.start), goal, cfg)
-        traj, stats, path, cost = (
-            result.trajectory,
-            result.stats,
-            result.path,
-            result.cost,
-        )
-    else:
-        planning_grid = inflate(grid, args.inflate) if args.inflate else grid
-        region = None
-        if args.mode == "heuristic":
-            region = load_region(args.region)
-            sv = planning_grid.world_to_index(np.asarray(args.start))
-            gv = planning_grid.world_to_index(goal.center)
-            region = filter_region(region, planning_grid, sv, gv)
-        res = plan(planning_grid, np.asarray(args.start), planner_cfg, args.mode, region)
-        if res.path is None:
-            print("planning failed: iteration budget exhausted", file=sys.stderr)
-            return 1
-        stats, path, cost = res.stats, res.path, res.cost
-        durations = trapezoidal_time_allocation(path, args.vmax, args.amax)
-        spec = BivpSpec.rest_to_rest(path, durations, args.s)
-        traj = collision_repair(
-            solve_bivp(spec), spec, grid, args.vmax, args.amax
-        )
+    region = load_region(args.region) if args.region else None
+    result = plan_trajectory(grid, np.asarray(args.start), goal, cfg, args.mode, region)
+    traj, stats = result.trajectory, result.stats
     save_trajectory(traj, args.out)
     if args.path_out:
-        save_path(path, cost, stats.initial_iterations or 0, args.path_out)
+        save_path(result.path, result.cost, stats.initial_iterations or 0, args.path_out)
     print(
-        f"success: cost={cost:.3f} init_iter={stats.initial_iterations} "
+        f"success: cost={result.cost:.3f} init_iter={stats.initial_iterations} "
         f"init_time={1e3 * (stats.initial_time or 0):.2f}ms "
         f"effort={control_effort(traj):.3f}"
     )

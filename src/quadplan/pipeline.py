@@ -1,17 +1,17 @@
-"""End-to-end hierarchical planner: heuristic-biased RRT* front end,
-minimum jerk/snap back end with collision repair, plus flat-flag queries and
-yaw profiling on the result."""
+"""End-to-end hierarchical planner, the one place the hierarchy is composed:
+region-biased (or uniform/informed) RRT* front end, minimum jerk/snap back end
+with collision repair, plus flat-flag queries and yaw profiling on the result."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .grid import GoalRegion, OccupancyGrid, inflate
-from .planner import PlannerConfig, PlanStats, plan
-from .regions import filter_region, oracle_region
+from .planner import PlannerConfig, PlanResult, PlanStats, plan
+from .regions import HeuristicRegion, filter_region, oracle_region
 from .trajectory import (
     BivpSpec,
     PiecewisePolynomial,
@@ -32,8 +32,6 @@ class PipelineConfig:
     v_max: float = 2.0
     a_max: float = 1.0
     inflate_radius: int = 0
-    yaw_mode: str = "none"  # "none" | "velocity"
-    repair_max_rounds: int = 30
 
 
 @dataclass
@@ -64,52 +62,59 @@ def prune_collinear(waypoints: np.ndarray, angle_tol_deg: float = 1.0) -> np.nda
     return pts[keep]
 
 
-def plan_trajectory(
-    grid: OccupancyGrid, start, goal: GoalRegion, cfg: PipelineConfig
-) -> PipelineResult:
-    """Full pipeline: oracle region -> filter -> biased RRT* -> waypoint
-    pruning -> trapezoidal time allocation -> spline solve -> collision
-    repair. The returned trajectory passes the exact collision checker and
-    reproduces the rest-to-rest boundary flags."""
-    planning_grid = inflate(grid, cfg.inflate_radius) if cfg.inflate_radius else grid
+def plan_front_end(
+    grid: OccupancyGrid,
+    start,
+    goal: GoalRegion,
+    planner_cfg: PlannerConfig,
+    mode: str = "heuristic",
+    region: HeuristicRegion | None = None,
+) -> PlanResult:
+    """Front end of the hierarchy: check that start and goal centre lie in
+    free space; in heuristic mode build the region (the given one, else the
+    oracle's) and filter it; then run RRT* toward goal.
+
+    A region passed with a mode that does not sample one is a ValueError.
+    """
+    if region is not None and mode != "heuristic":
+        raise ValueError(f"a region is only used in heuristic mode, not {mode!r}")
     start = np.asarray(start, dtype=float)
-    start_voxel = planning_grid.world_to_index(start)
-    goal_voxel = planning_grid.world_to_index(goal.center)
-    if start_voxel is None or planning_grid.occupancy[start_voxel]:
+    start_voxel = grid.world_to_index(start)
+    goal_voxel = grid.world_to_index(goal.center)
+    if start_voxel is None or grid.occupancy[start_voxel]:
         raise ValueError("start does not lie in free space")
-    if goal_voxel is None or planning_grid.occupancy[goal_voxel]:
+    if goal_voxel is None or grid.occupancy[goal_voxel]:
         raise ValueError("goal center does not lie in free space")
+    if mode == "heuristic":
+        if region is None:
+            region = oracle_region(grid, start_voxel, goal_voxel)
+        region = filter_region(region, grid, start_voxel, goal_voxel)
+    return plan(grid, start, replace(planner_cfg, goal=goal), mode=mode, region=region)
 
-    region = oracle_region(planning_grid, start_voxel, goal_voxel)
-    region = filter_region(region, planning_grid, start_voxel, goal_voxel)
 
-    planner_cfg = cfg.planner
-    if planner_cfg.goal is not goal:
-        planner_cfg = PlannerConfig(
-            step=cfg.planner.step,
-            goal=goal,
-            max_iterations=cfg.planner.max_iterations,
-            mu1=cfg.planner.mu1,
-            mu2=cfg.planner.mu2,
-            target_cost=cfg.planner.target_cost,
-            gamma_rrt=cfg.planner.gamma_rrt,
-            rng_seed=cfg.planner.rng_seed,
-        )
-    result = plan(planning_grid, start, planner_cfg, mode="heuristic", region=region)
+def plan_trajectory(
+    grid: OccupancyGrid,
+    start,
+    goal: GoalRegion,
+    cfg: PipelineConfig,
+    mode: str = "heuristic",
+    region: HeuristicRegion | None = None,
+) -> PipelineResult:
+    """Full pipeline: inflation -> front end (region, filter, RRT* in the
+    given mode) -> waypoint pruning -> trapezoidal time allocation -> spline
+    solve -> collision repair. The returned trajectory passes the exact
+    collision checker and reproduces the rest-to-rest boundary flags."""
+    planning_grid = inflate(grid, cfg.inflate_radius) if cfg.inflate_radius else grid
+    result = plan_front_end(planning_grid, start, goal, cfg.planner, mode, region)
     if result.path is None:
-        raise PlanningFailure(
-            f"no path within {planner_cfg.max_iterations} iterations"
-        )
+        raise PlanningFailure(f"no path within {cfg.planner.max_iterations} iterations")
 
     waypoints = prune_collinear(result.path)
     if len(waypoints) < 2:
-        waypoints = np.array([start, result.path[-1]])
+        waypoints = np.array([result.path[0], result.path[-1]])
     durations = trapezoidal_time_allocation(waypoints, cfg.v_max, cfg.a_max)
     spec = BivpSpec.rest_to_rest(waypoints, durations, cfg.s)
-    traj = solve_bivp(spec)
-    traj = collision_repair(
-        traj, spec, grid, cfg.v_max, cfg.a_max, max_rounds=cfg.repair_max_rounds
-    )
+    traj = collision_repair(solve_bivp(spec), spec, grid, cfg.v_max, cfg.a_max)
     return PipelineResult(traj, result.stats, waypoints, result.cost)
 
 

@@ -6,12 +6,12 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .grid import GoalRegion, OccupancyGrid, segment_collision_free
-from .regions import HeuristicRegion
+from .regions import HeuristicRegion, RegionSampler
 
 _DUPLICATE_EPS = 1e-9
 
@@ -58,8 +58,8 @@ def informed_sample(start, goal, c_best: float, bounds, rng: np.random.Generator
     """Uniform sample from the prolate hyperspheroid with foci start/goal and
     transverse diameter c_best, rejected to the (lower, upper) map bounds.
 
-    c_best = inf falls back to uniform over the bounds; c_best equal to the
-    focal distance degenerates to the start-goal segment.
+    c_best = inf falls back to uniform over the bounds; c_best within 1e-12
+    of the focal distance degenerates to the start-goal segment.
     """
     lower, upper = (np.asarray(b, dtype=float) for b in bounds)
     if not np.isfinite(c_best):
@@ -67,7 +67,7 @@ def informed_sample(start, goal, c_best: float, bounds, rng: np.random.Generator
     start = np.asarray(start, dtype=float)
     goal = np.asarray(goal, dtype=float)
     c_min = float(np.linalg.norm(goal - start))
-    if c_best < c_min:
+    if c_best < c_min - 1e-12:
         raise ValueError("c_best below the focal distance")
     center = 0.5 * (start + goal)
     if c_min < 1e-12 or c_best - c_min < 1e-12:
@@ -111,9 +111,6 @@ class SearchTree:
     def points(self) -> np.ndarray:
         return self._pts[: self.n]
 
-    def costs(self) -> np.ndarray:
-        return self.cost[: self.n]
-
     def _grow(self):
         cap = 2 * len(self._pts)
         pts = np.empty((cap, 3), dtype=float)
@@ -138,11 +135,6 @@ class SearchTree:
     def nearest(self, p) -> int:
         diff = self.points - np.asarray(p, dtype=float)
         return int(np.argmin(np.einsum("ij,ij->i", diff, diff)))
-
-    def near(self, p, radius: float) -> np.ndarray:
-        diff = self.points - np.asarray(p, dtype=float)
-        d2 = np.einsum("ij,ij->i", diff, diff)
-        return np.flatnonzero(d2 <= radius * radius)
 
     def set_parent(self, v: int, new_parent: int, new_cost: float) -> None:
         """Rewire v under new_parent and propagate the cost change to all
@@ -257,25 +249,6 @@ def extend_and_rewire(tree: SearchTree, x_new, grid: OccupancyGrid, radius: floa
     return new_idx
 
 
-class _RegionSampler:
-    """Cumulative-weight sampler over region voxels (O(log K) per draw)."""
-
-    def __init__(self, region: HeuristicRegion, grid: OccupancyGrid):
-        idx = region.member_indices()
-        if len(idx) == 0:
-            raise ValueError("heuristic mode requires a nonempty region")
-        w = region.values[idx[:, 0], idx[:, 1], idx[:, 2]].astype(float)
-        self._idx = idx
-        self._cum = np.cumsum(w / w.sum())
-        self._origin = grid.origin
-        self._res = grid.resolution
-
-    def sample(self, rng: np.random.Generator) -> np.ndarray:
-        k = int(np.searchsorted(self._cum, rng.random(), side="right"))
-        k = min(k, len(self._idx) - 1)
-        return self._origin + (self._idx[k] + rng.random(3)) * self._res
-
-
 def plan(
     grid: OccupancyGrid,
     start,
@@ -288,7 +261,8 @@ def plan(
     Modes:
       uniform   - baseline RRT* with uniform samples over the map bounds.
       informed  - uniform until the first solution, then samples from the
-                  prolate hyperspheroid of the current best cost.
+                  prolate hyperspheroid of the current best cost, with the
+                  start and the best goal vertex as foci.
       heuristic - draws from the region with probability mu2 before the first
                   goal connection and mu1 after, uniform otherwise.
 
@@ -305,7 +279,7 @@ def plan(
     if mode == "heuristic":
         if region is None:
             raise ValueError("heuristic mode requires a region")
-        region_sampler = _RegionSampler(region, grid)
+        region_sampler = RegionSampler(region, grid.origin, grid.resolution)
     goal = cfg.goal
     straight = float(np.linalg.norm(goal.center - start))
     target = cfg.target_cost if cfg.target_cost is not None else 1.05 * straight
@@ -331,7 +305,7 @@ def plan(
             else:
                 x_rand = lower + rng.random(3) * span
         elif mode == "informed" and stats.success:
-            x_rand = informed_sample(start, goal.center, best_cost, (lower, upper), rng)
+            x_rand = informed_sample(start, tree.points[best], best_cost, (lower, upper), rng)
         else:
             x_rand = lower + rng.random(3) * span
 
@@ -353,7 +327,8 @@ def plan(
             goal_vertices.append(idx)
 
         if goal_vertices:
-            best_cost = float(np.min(tree.cost[goal_vertices]))
+            best = goal_vertices[int(np.argmin(tree.cost[goal_vertices]))]
+            best_cost = float(tree.cost[best])
             if not stats.success:
                 stats.success = True
                 stats.initial_iterations = it
@@ -368,7 +343,6 @@ def plan(
 
     if not goal_vertices:
         return PlanResult(tree, None, math.inf, stats)
-    best = int(goal_vertices[int(np.argmin(tree.costs()[goal_vertices]))])
     return PlanResult(tree, tree.path_to(best), best_cost, stats)
 
 

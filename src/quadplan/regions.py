@@ -259,20 +259,27 @@ def is_safe(region: HeuristicRegion, grid: OccupancyGrid) -> bool:
     return int(np.count_nonzero(region.mask & grid.occupancy)) <= 1
 
 
-def sample_region(
-    region: HeuristicRegion,
-    rng: np.random.Generator,
-    origin=(0.0, 0.0, 0.0),
-    resolution: float = 1.0,
-) -> np.ndarray:
-    """Draw a world point: a member voxel with probability proportional to
-    its value, then uniform within that voxel."""
-    idx = region.member_indices()
-    if len(idx) == 0:
-        raise EmptyRegionError("cannot sample from an empty region")
-    w = region.values[idx[:, 0], idx[:, 1], idx[:, 2]].astype(float)
-    choice = rng.choice(len(idx), p=w / w.sum())
-    return np.asarray(origin, dtype=float) + (idx[choice] + rng.random(3)) * resolution
+class RegionSampler:
+    """Value-weighted draws from a region: a member voxel with probability
+    proportional to its value, then a uniform point inside that voxel.
+
+    Cumulative weights are built once, so each draw is one O(log K) search.
+    """
+
+    def __init__(self, region: HeuristicRegion, origin=(0.0, 0.0, 0.0), resolution: float = 1.0):
+        idx = region.member_indices()
+        if len(idx) == 0:
+            raise EmptyRegionError("cannot sample from an empty region")
+        w = region.values[idx[:, 0], idx[:, 1], idx[:, 2]].astype(float)
+        self._idx = idx
+        self._cum = np.cumsum(w / w.sum())
+        self._origin = np.asarray(origin, dtype=float)
+        self._res = resolution
+
+    def sample(self, rng: np.random.Generator) -> np.ndarray:
+        k = int(np.searchsorted(self._cum, rng.random(), side="right"))
+        k = min(k, len(self._idx) - 1)
+        return self._origin + (self._idx[k] + rng.random(3)) * self._res
 
 
 def save_region(region: HeuristicRegion, path) -> None:

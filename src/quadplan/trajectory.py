@@ -9,7 +9,6 @@ repair loop.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -24,6 +23,10 @@ class SingularSystemError(Exception):
 
 class RepairExhaustedError(Exception):
     """Collision repair did not converge within the round budget."""
+
+
+class TrajectoryFileError(ValueError):
+    """Malformed header, truncated body or invalid values in a trajectory file."""
 
 
 class DomainError(ValueError):
@@ -352,20 +355,20 @@ def collision_repair(
             return traj
         if _ == max_rounds:
             break
+        # Original joints keep their conditions; midpoints pin position only.
         waypoints = [spec.waypoints[0]]
+        intermediate = []
         for i in range(spec.M):
             if i in colliding:
-                waypoints.append(0.5 * (spec.waypoints[i] + spec.waypoints[i + 1]))
+                mid = 0.5 * (spec.waypoints[i] + spec.waypoints[i + 1])
+                waypoints.append(mid)
+                intermediate.append(mid.reshape(-1, 1))
             waypoints.append(spec.waypoints[i + 1])
+            if i < spec.M - 1:
+                intermediate.append(spec.intermediate[i])
         waypoints = np.array(waypoints)
         durations = trapezoidal_time_allocation(waypoints, v_max, a_max)
-        spec = BivpSpec(
-            s=spec.s,
-            waypoints=waypoints,
-            durations=durations,
-            boundary_start=spec.boundary_start,
-            boundary_end=spec.boundary_end,
-        )
+        spec = replace(spec, waypoints=waypoints, durations=durations, intermediate=intermediate)
         traj = solve_bivp(spec)
     raise RepairExhaustedError(f"segments still collide after {max_rounds} rounds")
 
@@ -396,23 +399,38 @@ def save_trajectory(traj: PiecewisePolynomial, path) -> None:
 
 
 def load_trajectory(path) -> PiecewisePolynomial:
+    """Read a file written by save_trajectory. A malformed header or segment,
+    a wrong line count or a non-positive duration raises TrajectoryFileError."""
     with open(path) as f:
         lines = [ln.strip() for ln in f if ln.strip()]
     if not lines or not lines[0].startswith("#"):
-        raise ValueError("missing trajectory header")
-    fields = dict(kv.split("=") for kv in lines[0].lstrip("# ").split())
-    s, m, M = int(fields["s"]), int(fields["m"]), int(fields["M"])
+        raise TrajectoryFileError("missing trajectory header")
+    try:
+        fields = dict(kv.split("=", 1) for kv in lines[0].lstrip("# ").split())
+        s, m, M = int(fields["s"]), int(fields["m"]), int(fields["M"])
+    except (KeyError, ValueError) as e:
+        raise TrajectoryFileError(f"malformed header {lines[0]!r}") from e
+    if min(s, m, M) < 1:
+        raise TrajectoryFileError("malformed header: s, m and M must be positive")
+    per_segment = 2 * s + 1
+    if len(lines) - 1 != M * per_segment:
+        raise TrajectoryFileError(
+            f"expected {M * per_segment} lines after the header, found {len(lines) - 1}"
+        )
     coeffs = np.zeros((M, 2 * s, m))
     durations = np.zeros(M)
-    pos = 1
     for i in range(M):
-        if not lines[pos].startswith("T="):
-            raise ValueError(f"expected duration line for segment {i}")
-        durations[i] = float(lines[pos][2:])
-        pos += 1
-        for j in range(2 * s):
-            coeffs[i, j] = [float(v) for v in lines[pos].split()]
-            pos += 1
+        seg = lines[1 + i * per_segment : 1 + (i + 1) * per_segment]
+        if not seg[0].startswith("T="):
+            raise TrajectoryFileError(f"expected duration line for segment {i}")
+        try:
+            durations[i] = float(seg[0][2:])
+            for j in range(2 * s):
+                coeffs[i, j] = [float(v) for v in seg[1 + j].split()]
+        except ValueError as e:
+            raise TrajectoryFileError(f"malformed segment {i}: {e}") from e
+        if not durations[i] > 0:
+            raise TrajectoryFileError(f"segment {i} duration {durations[i]} is not positive")
     return PiecewisePolynomial(coeffs, durations, s)
 
 

@@ -10,16 +10,29 @@ import numpy as np
 
 
 @functools.lru_cache(maxsize=None)
-def _derived_monomial(j, k):
-    """Descending coefficients of d^k/dtau^k tau^j via np.polyder."""
-    c = np.zeros(j + 1)
-    c[0] = 1.0
-    return np.polyder(c, k) if k else c
+def _derived_monomials(n, k):
+    """Descending coefficients of d^k/dtau^k tau^j via np.polyder, one column
+    per j < n, zero-padded at the top to a common degree n-1."""
+    out = np.zeros((n, n))
+    for j in range(n):
+        c = np.zeros(j + 1)
+        c[0] = 1.0
+        d = np.polyder(c, k) if k else c
+        out[n - len(d) :, j] = d
+    return out
 
 
+@functools.lru_cache(maxsize=4096)
 def monomial_derivative(tau, n, k):
-    """Row of d^k/dtau^k of (1, tau, ..., tau^(n-1))."""
-    return np.array([np.polyval(_derived_monomial(j, k), tau) for j in range(n)])
+    """Row of d^k/dtau^k of (1, tau, ..., tau^(n-1)), read-only.
+
+    np.polyval runs Horner's scheme over the rows of the padded coefficient
+    matrix, so all n columns are evaluated in one pass; the leading zero
+    padding adds exact zeros only. Rows are cached: half of them are at tau=0
+    and each joint asks for its duration several times."""
+    row = np.polyval(_derived_monomials(n, k), tau)
+    row.setflags(write=False)
+    return row
 
 
 def dense_bivp_system(spec):

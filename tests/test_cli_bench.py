@@ -17,8 +17,11 @@ from quadplan.bench import (
     write_report,
 )
 from quadplan.cli import main
-from quadplan.grid import load_grid
-from quadplan.trajectory import load_trajectory
+from quadplan.grid import GoalRegion, load_grid
+from quadplan.pipeline import PipelineConfig, plan_trajectory
+from quadplan.planner import PlannerConfig
+from quadplan.regions import load_region
+from quadplan.trajectory import load_trajectory, save_trajectory
 
 
 # ----------------------------------------------------------------------- bench
@@ -148,6 +151,61 @@ def test_cli_genmap_plan_export(tmp_path, capsys):
     rc = main(["traj-export", "--traj", str(traj_path), "--dt", "0.1", "--out", str(csv_path)])
     assert rc == 0
     assert csv_path.read_text().startswith("t,x,y,z,")
+
+
+def _cli_map(tmp_path):
+    map_path = tmp_path / "m.grid"
+    assert main([
+        "genmap", "--dims", "12,12,12", "--count", "8", "--seed", "3",
+        "--keep-free", "1,1,1", "--keep-free", "10,10,4", "--out", str(map_path),
+    ]) == 0
+    return map_path
+
+
+# The plan command's arguments below and the library call they must equal.
+_PLAN_ARGS = ["--start", "1.5,1.5,1.5", "--goal", "10.5,10.5,4.5", "--goal-radius", "1.5",
+              "--seed", "5", "--max-iter", "5000", "--target-cost", "30"]
+
+
+def _library_trajectory(map_path, out, mode="heuristic", region=None):
+    goal = GoalRegion(np.array([10.5, 10.5, 4.5]), 1.5)
+    cfg = PipelineConfig(planner=PlannerConfig(
+        step=2.0, goal=goal, max_iterations=5000, target_cost=30.0, rng_seed=5))
+    result = plan_trajectory(load_grid(map_path), np.array([1.5, 1.5, 1.5]), goal, cfg,
+                             mode, region)
+    save_trajectory(result.trajectory, out)
+    return out.read_text()
+
+
+def test_cli_plan_uniform_matches_pipeline(tmp_path):
+    map_path = _cli_map(tmp_path)
+    traj_path = tmp_path / "t.txt"
+    rc = main(["plan", "--map", str(map_path), "--mode", "uniform", *_PLAN_ARGS,
+               "--out", str(traj_path)])
+    assert rc == 0
+    want = _library_trajectory(map_path, tmp_path / "want.txt", mode="uniform")
+    assert traj_path.read_text() == want
+
+
+def test_cli_plan_region_file_matches_pipeline(tmp_path, capsys):
+    map_path = _cli_map(tmp_path)
+    region_path = tmp_path / "r.region"
+    assert main(["region", "--map", str(map_path), "--start", "1,1,1", "--goal", "10,10,4",
+                 "--no-filter", "--out", str(region_path)]) == 0
+    traj_path = tmp_path / "t.txt"
+    rc = main(["plan", "--map", str(map_path), "--region", str(region_path), *_PLAN_ARGS,
+               "--out", str(traj_path)])
+    assert rc == 0
+    want = _library_trajectory(map_path, tmp_path / "want.txt",
+                               region=load_region(region_path))
+    assert traj_path.read_text() == want
+
+    capsys.readouterr()
+    rc = main(["plan", "--map", str(map_path), "--region", str(region_path), "--mode", "uniform",
+               *_PLAN_ARGS, "--out", str(tmp_path / "u.txt")])
+    assert rc == 1
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "u.txt").exists()
 
 
 def test_cli_region_command(tmp_path, capsys):

@@ -231,6 +231,27 @@ def test_plan_informed_mode():
     assert result.cost <= 1.5 * straight
 
 
+def test_plan_informed_target_below_straight_line():
+    # target_cost = 0 keeps refining after the first solution, whose cost to
+    # a vertex inside the goal ball is below the start-to-centre distance.
+    start = np.array([1.5, 1.5, 1.5])
+    goal = goal_at((8.5, 8.5, 8.5))
+    for seed in range(3):
+        cfg = PlannerConfig(step=2.0, goal=goal, max_iterations=1500,
+                            target_cost=0.0, rng_seed=seed)
+        result = plan(empty_grid(10), start, cfg, mode="informed")
+        assert result.stats.success
+        assert goal.contains(result.path[-1])
+        assert result.cost < np.linalg.norm(goal.center - start)
+        check_tree_invariants(result.tree)
+
+    # A best cost within rounding of the focal distance is the segment case.
+    rng = np.random.default_rng(0)
+    a, b = np.zeros(3), np.array([3.0, 4.0, 0.0])
+    p = informed_sample(a, b, 5.0 - 1e-13, ([-1.0] * 3, [5.0] * 3), rng)
+    assert np.allclose(np.cross(p - a, b - a), 0.0)
+
+
 def test_plan_heuristic_mode_and_validation():
     spec = ObstacleSpec(count=(8, 12), size_min=(1, 1, 1), size_max=(3, 3, 3))
     grid = random_cluttered_map(

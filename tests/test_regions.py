@@ -13,6 +13,7 @@ from quadplan.regions import (
     HeuristicRegion,
     NoPathError,
     RegionFileError,
+    RegionSampler,
     astar_path,
     connectivity_penalty,
     dilate_path,
@@ -22,7 +23,6 @@ from quadplan.regions import (
     load_region,
     oracle_region,
     safety_penalty,
-    sample_region,
     save_region,
     state_map,
 )
@@ -276,15 +276,15 @@ def test_sample_region_singleton_and_zero_mass():
     rng = np.random.default_rng(0)
     r = region_of([(3, 4, 5)])
     for _ in range(50):
-        p = sample_region(r, rng)
+        p = RegionSampler(r).sample(rng)
         assert np.all((3, 4, 5) <= p) and np.all(p < (4, 5, 6))
     vals = np.zeros((8, 8, 8), dtype=np.float32)
     vals[1, 1, 1] = 1.0
     for _ in range(50):
-        p = sample_region(HeuristicRegion(vals), rng)
+        p = RegionSampler(HeuristicRegion(vals)).sample(rng)
         assert np.all((1, 1, 1) <= p) and np.all(p < (2, 2, 2))
     with pytest.raises(EmptyRegionError):
-        sample_region(region_of([]), rng)
+        RegionSampler(region_of([]))
 
 
 def test_sample_region_weighting():
@@ -293,14 +293,15 @@ def test_sample_region_weighting():
     vals[3, 3, 3] = 0.75
     r = HeuristicRegion(vals)
     rng = np.random.default_rng(42)
-    hits = sum(sample_region(r, rng)[0] >= 3.0 for _ in range(20_000))
+    sampler = RegionSampler(r)
+    hits = sum(sampler.sample(rng)[0] >= 3.0 for _ in range(20_000))
     assert abs(hits / 20_000 - 0.75) < 0.75 * 0.05
 
 
 def test_sample_region_origin_resolution():
     rng = np.random.default_rng(1)
     r = region_of([(2, 2, 2)], dims=(4, 4, 4))
-    p = sample_region(r, rng, origin=(10.0, 0.0, -5.0), resolution=0.5)
+    p = RegionSampler(r, origin=(10.0, 0.0, -5.0), resolution=0.5).sample(rng)
     assert np.all(p >= (11.0, 1.0, -4.0)) and np.all(p < (11.5, 1.5, -3.5))
 
 

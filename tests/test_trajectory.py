@@ -14,6 +14,7 @@ from quadplan.trajectory import (
     PiecewisePolynomial,
     RepairExhaustedError,
     SingularSystemError,
+    TrajectoryFileError,
     banded_plu_solve,
     build_banded_system,
     collision_repair,
@@ -311,6 +312,26 @@ def test_repair_fixes_corner_cut():
         j += 1
 
 
+def test_repair_keeps_waypoint_conditions():
+    # A velocity condition at the corner (d_i = 2) that makes the first solve
+    # cut the corner, so repair must insert midpoints and re-solve.
+    grid, rest = corner_cut_instance()
+    corner = rest.waypoints[1]
+    v_corner = np.array([-1.0, 1.0, 0.0])
+    spec = BivpSpec(
+        s=3,
+        waypoints=rest.waypoints,
+        durations=rest.durations,
+        intermediate=[np.column_stack([corner, v_corner])],
+    )
+    repaired = collision_repair(solve_bivp(spec), spec, grid, v_max=2.0, a_max=1.0)
+    assert repaired.M > spec.M  # at least one repair round ran
+    out_wp = repaired.waypoints()
+    j = int(np.argmin(np.linalg.norm(out_wp - corner, axis=1)))
+    assert np.allclose(out_wp[j], corner, atol=1e-9)
+    assert np.allclose(repaired.eval(repaired.knots[j], 1), v_corner, atol=1e-9)
+
+
 def test_repair_exhausted():
     grid, spec = corner_cut_instance()
     traj = solve_bivp(spec)
@@ -341,6 +362,25 @@ def test_trajectory_load_errors(tmp_path):
     path.write_text("# s=3 m=1 M=1\n0 0 0\n")
     with pytest.raises(ValueError):
         load_trajectory(path)
+
+    spec = BivpSpec.rest_to_rest(np.array([[0.0, 0, 0], [1.0, 1, 1], [2.0, 0, 1]]), [1.0, 1.5], 3)
+    save_trajectory(solve_bivp(spec), path)
+    good = path.read_text().splitlines()
+    assert load_trajectory(path).M == 2
+    bad_files = {
+        "truncated": good[:-3],
+        "missing header field": ["# s=3 m=3"] + good[1:],
+        "non-integer header": ["# s=3 m=3 M=two"] + good[1:],
+        "no segments": ["# s=3 m=3 M=0"],
+        "short coefficient row": good[:3] + ["1.0 2.0"] + good[4:],
+        "non-numeric coefficient": good[:3] + ["1.0 x 2.0"] + good[4:],
+        "zero duration": good[:1] + ["T=0"] + good[2:],
+        "negative duration": good[:1] + ["T=-1.5"] + good[2:],
+    }
+    for name, lines in bad_files.items():
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(TrajectoryFileError):
+            load_trajectory(path)
 
 
 def test_export_csv(tmp_path):
