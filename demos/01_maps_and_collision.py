@@ -16,8 +16,8 @@ from quadplan import (
     random_cluttered_map,
     save_grid,
     segment_collision_free,
-    segment_voxels,
 )
+from quadplan.grid import segment_voxels
 
 # A seeded 20^3 map with 15-20 cuboid obstacles; the two corners we will fly
 # between are guaranteed free.

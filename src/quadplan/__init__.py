@@ -17,7 +17,6 @@ from .grid import (
     random_cluttered_map,
     save_grid,
     segment_collision_free,
-    segment_voxels,
 )
 from .regions import (
     EmptyRegionError,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import struct
 from dataclasses import dataclass
 
@@ -101,6 +102,15 @@ def astar_path(grid: OccupancyGrid, start, goal) -> np.ndarray:
     Admissible heuristic: straight-line Euclidean distance in voxel units.
     Ties break on lower heuristic value, then lexicographic voxel index, so
     the returned path is deterministic.
+
+    The search runs over flat indices into a Python list: the occupancy grid
+    padded with one blocked layer on every face and flattened in C order, so
+    no neighbour needs a bounds check and no numpy call sits inside the loop.
+    Closed voxels are marked blocked in the same list. On the padded grid the
+    C-order flat index of a voxel increases with its lexicographic index, so
+    the heap key (f, h, flat index) breaks ties as (f, h, voxel) would. The
+    heuristic is math.sqrt of an integer sum of squares, which is exact
+    before the root, so f and h equal those of a float norm bit for bit.
     """
     start = tuple(int(c) for c in np.asarray(start))
     goal = tuple(int(c) for c in np.asarray(goal))
@@ -112,41 +122,53 @@ def astar_path(grid: OccupancyGrid, start, goal) -> np.ndarray:
     if start == goal:
         return np.array([start], dtype=int)
 
-    dims = np.asarray(grid.dims)
-    occ = grid.occupancy
-    goal_arr = np.asarray(goal, dtype=float)
+    _, ny, nz = grid.dims
+    sy = nz + 2
+    sx = (ny + 2) * sy
+    blocked = np.pad(grid.occupancy, 1, constant_values=True).ravel().tolist()
+    steps = [
+        (dx * sx + dy * sy + dz, dx, dy, dz, cost)
+        for (dx, dy, dz), cost in zip(_OFFSETS.tolist(), _STEP_COSTS.tolist())
+    ]
+    gx, gy, gz = (c + 1 for c in goal)
+    src = (start[0] + 1) * sx + (start[1] + 1) * sy + start[2] + 1
+    dst = gx * sx + gy * sy + gz
 
-    g = {start: 0.0}
+    g = [math.inf] * len(blocked)
+    g[src] = 0.0
     parent = {}
-    h0 = float(np.linalg.norm(np.asarray(start, dtype=float) - goal_arr))
-    open_heap = [(h0, h0, start)]
-    closed = set()
+    ex, ey, ez = start[0] + 1 - gx, start[1] + 1 - gy, start[2] + 1 - gz
+    h0 = math.sqrt(ex * ex + ey * ey + ez * ez)
+    open_heap = [(h0, h0, src)]
+    pop, push, sqrt = heapq.heappop, heapq.heappush, math.sqrt
     while open_heap:
-        _f, _h, cur = heapq.heappop(open_heap)
-        if cur in closed:
+        _f, _h, cur = pop(open_heap)
+        if blocked[cur]:
             continue
-        if cur == goal:
+        if cur == dst:
             path = [cur]
             while cur in parent:
                 cur = parent[cur]
                 path.append(cur)
-            return np.array(path[::-1], dtype=int)
-        closed.add(cur)
+            x, rest = np.divmod(np.array(path[::-1]), sx)
+            y, z = np.divmod(rest, sy)
+            return np.column_stack([x, y, z]) - 1
+        blocked[cur] = True
         gc = g[cur]
-        nbrs = np.asarray(cur) + _OFFSETS
-        ok = np.all(nbrs >= 0, axis=1) & np.all(nbrs < dims, axis=1)
-        for nbr, cost, valid in zip(nbrs, _STEP_COSTS, ok):
-            if not valid:
-                continue
-            nt = (int(nbr[0]), int(nbr[1]), int(nbr[2]))
-            if occ[nt] or nt in closed:
+        cx, rest = divmod(cur, sx)
+        cy, cz = divmod(rest, sy)
+        ex, ey, ez = cx - gx, cy - gy, cz - gz
+        for step, dx, dy, dz, cost in steps:
+            nb = cur + step
+            if blocked[nb]:
                 continue
             ng = gc + cost
-            if ng < g.get(nt, np.inf) - 1e-12:
-                g[nt] = ng
-                parent[nt] = cur
-                h = float(np.linalg.norm(nbr - goal_arr))
-                heapq.heappush(open_heap, (ng + h, h, nt))
+            if ng < g[nb] - 1e-12:
+                g[nb] = ng
+                parent[nb] = cur
+                hx, hy, hz = ex + dx, ey + dy, ez + dz
+                h = sqrt(hx * hx + hy * hy + hz * hz)
+                push(open_heap, (ng + h, h, nb))
     raise NoPathError(f"no free 26-connected path from {start} to {goal}")
 
 

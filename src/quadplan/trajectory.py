@@ -153,15 +153,6 @@ class BandedSystem:
             raise ValueError(f"entry ({i},{j}) outside the band")
         self.band[self.kl + self.ku + i - j, j] = v
 
-    def to_dense(self) -> np.ndarray:
-        A = np.zeros((self.n, self.n))
-        for j in range(self.n):
-            i_lo = max(0, j - self.ku)
-            i_hi = min(self.n - 1, j + self.kl)
-            for i in range(i_lo, i_hi + 1):
-                A[i, j] = self.band[self.kl + self.ku + i - j, j]
-        return A
-
 
 def build_banded_system(spec: BivpSpec) -> BandedSystem:
     """Assemble the boundary/waypoint/continuity equations.
@@ -264,6 +255,8 @@ class PiecewisePolynomial:
             raise ValueError("coefficient stack must have shape (M, 2s, m)")
         if len(self.durations) != self.coeffs.shape[0]:
             raise ValueError("durations/segments mismatch")
+        if not np.all(np.isfinite(self.durations) & (self.durations > 0)):
+            raise ValueError("segment durations must be positive and finite")
 
     @property
     def M(self) -> int:
@@ -374,12 +367,27 @@ def collision_repair(
 
 
 def _colliding_segments(traj: PiecewisePolynomial, grid: OccupancyGrid, dt: float) -> set[int]:
+    """Indices of segments whose samples, dt apart, are not joined by free
+    straight lines.
+
+    Each segment's samples are evaluated in one batch with the segment lookup
+    of PiecewisePolynomial.segment_of: a sample on a knot belongs to the next
+    segment. np.float_power calls the C library's pow, as eval's scalar power
+    does (np.power on float64 arrays may take a SIMD pow that differs in the
+    last bit), and the stacked matmul makes the same vector-matrix product
+    per sample, so the points equal eval's.
+    """
     out = set()
     knots = traj.knots
+    total = traj.total_duration
+    exponents = np.arange(2 * traj.s, dtype=float)
     for i in range(traj.M):
         t0, t1 = knots[i], knots[i + 1]
         ts = np.linspace(t0, t1, max(2, int(math.ceil((t1 - t0) / dt)) + 1))
-        pts = np.array([traj.eval(min(t, traj.total_duration)) for t in ts])
+        ts = np.minimum(ts, total)
+        seg = np.minimum(np.searchsorted(knots, ts, side="right") - 1, traj.M - 1)
+        basis = np.float_power((ts - knots[seg])[:, None], exponents)
+        pts = np.matmul(basis[:, None, :], traj.coeffs[seg])[:, 0, :].tolist()
         for a, b in zip(pts[:-1], pts[1:]):
             if not segment_collision_free(grid, a, b):
                 out.add(i)
@@ -400,7 +408,8 @@ def save_trajectory(traj: PiecewisePolynomial, path) -> None:
 
 def load_trajectory(path) -> PiecewisePolynomial:
     """Read a file written by save_trajectory. A malformed header or segment,
-    a wrong line count or a non-positive duration raises TrajectoryFileError."""
+    a wrong line count or a non-positive or non-finite duration raises
+    TrajectoryFileError."""
     with open(path) as f:
         lines = [ln.strip() for ln in f if ln.strip()]
     if not lines or not lines[0].startswith("#"):
@@ -429,9 +438,10 @@ def load_trajectory(path) -> PiecewisePolynomial:
                 coeffs[i, j] = [float(v) for v in seg[1 + j].split()]
         except ValueError as e:
             raise TrajectoryFileError(f"malformed segment {i}: {e}") from e
-        if not durations[i] > 0:
-            raise TrajectoryFileError(f"segment {i} duration {durations[i]} is not positive")
-    return PiecewisePolynomial(coeffs, durations, s)
+    try:
+        return PiecewisePolynomial(coeffs, durations, s)
+    except ValueError as e:
+        raise TrajectoryFileError(str(e)) from e
 
 
 def export_csv(traj: PiecewisePolynomial, path, dt: float) -> None:

@@ -1,0 +1,13 @@
+"""Pin the BLAS/OpenMP thread pools to one thread, as benchmarks/run.py does.
+
+The pools read these variables once, when numpy first loads its BLAS, so this
+module must run before anything imports numpy. On a 2-core machine a second
+BLAS thread competes with every other process for the cores: criterion 1's
+dense oracle solves slowed several-fold while another process was busy.
+setdefault keeps any value the caller set.
+"""
+
+import os
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")

@@ -5,6 +5,8 @@ calculus instead of closed-form sums, natural row ordering instead of the
 bandwidth-minimizing one."""
 
 import functools
+import heapq
+import itertools
 
 import numpy as np
 
@@ -73,6 +75,16 @@ def dense_bivp_system(spec):
     return A, b
 
 
+def band_to_dense(sys):
+    """Dense n x n view of a BandedSystem, read entry by entry from the LAPACK
+    band storage (band[kl + ku + i - j, j] holds A[i, j])."""
+    A = np.zeros((sys.n, sys.n))
+    for j in range(sys.n):
+        for i in range(max(0, j - sys.ku), min(sys.n - 1, j + sys.kl) + 1):
+            A[i, j] = sys.band[sys.kl + sys.ku + i - j, j]
+    return A
+
+
 def dense_solve_bivp(spec):
     """Dense elimination oracle: (M, 2s, m) coefficient stack."""
     A, b = dense_bivp_system(spec)
@@ -118,3 +130,63 @@ def random_bivp_spec(rng, bivp_cls, s=None, max_segments=50):
         boundary_end=be,
         intermediate=intermediate,
     )
+
+
+_ASTAR_OFFSETS = np.array(
+    [o for o in itertools.product((-1, 0, 1), repeat=3) if o != (0, 0, 0)], dtype=int
+)
+_ASTAR_STEP_COSTS = np.linalg.norm(_ASTAR_OFFSETS, axis=1)
+
+
+def reference_astar_path(grid, start, goal, no_path_error):
+    """The straightforward A* over voxel tuples, with numpy bounds checks per
+    expansion: same heuristic, step costs and (f, h, voxel) tie-break as
+    regions.astar_path, which must return the identical path. Raises
+    no_path_error (the library's NoPathError) when start and goal are not
+    connected, and ValueError for an invalid start or goal."""
+    start = tuple(int(c) for c in np.asarray(start))
+    goal = tuple(int(c) for c in np.asarray(goal))
+    for name, v in (("start", start), ("goal", goal)):
+        if not grid.in_bounds_index(v):
+            raise ValueError(f"{name} voxel {v} out of bounds")
+        if grid.occupancy[v]:
+            raise ValueError(f"{name} voxel {v} is occupied")
+    if start == goal:
+        return np.array([start], dtype=int)
+
+    dims = np.asarray(grid.dims)
+    occ = grid.occupancy
+    goal_arr = np.asarray(goal, dtype=float)
+
+    g = {start: 0.0}
+    parent = {}
+    h0 = float(np.linalg.norm(np.asarray(start, dtype=float) - goal_arr))
+    open_heap = [(h0, h0, start)]
+    closed = set()
+    while open_heap:
+        _f, _h, cur = heapq.heappop(open_heap)
+        if cur in closed:
+            continue
+        if cur == goal:
+            path = [cur]
+            while cur in parent:
+                cur = parent[cur]
+                path.append(cur)
+            return np.array(path[::-1], dtype=int)
+        closed.add(cur)
+        gc = g[cur]
+        nbrs = np.asarray(cur) + _ASTAR_OFFSETS
+        ok = np.all(nbrs >= 0, axis=1) & np.all(nbrs < dims, axis=1)
+        for nbr, cost, valid in zip(nbrs, _ASTAR_STEP_COSTS, ok):
+            if not valid:
+                continue
+            nt = (int(nbr[0]), int(nbr[1]), int(nbr[2]))
+            if occ[nt] or nt in closed:
+                continue
+            ng = gc + cost
+            if ng < g.get(nt, np.inf) - 1e-12:
+                g[nt] = ng
+                parent[nt] = cur
+                h = float(np.linalg.norm(nbr - goal_arr))
+                heapq.heappush(open_heap, (ng + h, h, nt))
+    raise no_path_error(f"no free 26-connected path from {start} to {goal}")

@@ -27,6 +27,8 @@ from quadplan.regions import (
     state_map,
 )
 
+from oracles import reference_astar_path
+
 
 def empty_grid(side=8):
     return OccupancyGrid(np.zeros((side,) * 3, dtype=bool), 1.0)
@@ -144,6 +146,63 @@ def test_astar_deterministic():
     p1 = astar_path(g, (0, 0, 0), (7, 7, 7))
     p2 = astar_path(g, (0, 0, 0), (7, 7, 7))
     assert np.array_equal(p1, p2)
+
+
+def astar_identity_cases():
+    """(grid, start, goal) triples: criterion 10's seeded 8^3 maps at 25 %
+    fill, an empty 10^3 grid (equal-cost paths everywhere, so ties decide),
+    starts and goals on boundary faces and corners, and thin grids."""
+    rng = np.random.default_rng(110)
+    cases = []
+    while len(cases) < 500:
+        occ = rng.random((8, 8, 8)) < 0.25
+        free = np.argwhere(~occ)
+        if len(free) < 2:
+            continue
+        s, g_ = (tuple(free[i]) for i in rng.choice(len(free), 2, replace=False))
+        cases.append((OccupancyGrid(occ, 1.0), s, g_))
+
+    empty = empty_grid(10)
+    corners = list(itertools.product((0, 9), repeat=3))
+    faces = [(0, 4, 5), (9, 5, 4), (4, 0, 5), (5, 9, 4), (4, 5, 0), (5, 4, 9)]
+    cases += [(empty, s, g_) for s, g_ in itertools.permutations(corners + faces, 2)]
+    cases += [(empty, tuple(s), tuple(g_)) for s, g_ in rng.integers(0, 10, (40, 2, 3))]
+    wall = [(4, j, k) for j in range(10) for k in range(10)]
+    ends = list(itertools.product([(0, 0, 0), (0, 9, 0), (3, 0, 9)], [(9, 0, 0), (9, 9, 9), (5, 9, 9)]))
+    for blocked in (wall, wall[:-1]):  # sealed, then with a hole in a corner
+        cases += [(grid_with(blocked, side=10), s, g_) for s, g_ in ends]
+
+    sheet = np.zeros((1, 9, 9), dtype=bool)
+    sheet[0, 4, :8] = True
+    line = np.zeros((12, 1, 1), dtype=bool)
+    cut = line.copy()
+    cut[6] = True
+    for occ, pairs in (
+        (sheet, [((0, 0, 0), (0, 8, 0)), ((0, 0, 8), (0, 8, 8)), ((0, 2, 2), (0, 6, 1))]),
+        (np.zeros((1, 7, 7), dtype=bool), [((0, 0, 0), (0, 6, 6)), ((0, 0, 6), (0, 6, 0))]),
+        (line, [((0, 0, 0), (11, 0, 0)), ((11, 0, 0), (3, 0, 0))]),
+        (cut, [((0, 0, 0), (11, 0, 0)), ((1, 0, 0), (5, 0, 0))]),
+    ):
+        cases += [(OccupancyGrid(occ, 1.0), s, g_) for s, g_ in pairs]
+    return cases
+
+
+def test_astar_matches_reference_paths():
+    """The flat-index A* returns the same path as the reference A* over voxel
+    tuples, ties included, and fails with NoPathError where it does."""
+    no_path = 0
+    for grid, s, g_ in astar_identity_cases():
+        try:
+            ref = reference_astar_path(grid, s, g_, NoPathError)
+        except NoPathError:
+            no_path += 1
+            with pytest.raises(NoPathError):
+                astar_path(grid, s, g_)
+            continue
+        path = astar_path(grid, s, g_)
+        assert path.dtype == ref.dtype
+        assert np.array_equal(path, ref), (grid.dims, s, g_)
+    assert no_path >= 10  # disconnected cases are covered too
 
 
 # -------------------------------------------------------------------- dilation

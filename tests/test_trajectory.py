@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from quadplan.grid import OccupancyGrid
+from quadplan.grid import ObstacleSpec, OccupancyGrid, random_cluttered_map, segment_collision_free
 from quadplan.trajectory import (
     BandedSystem,
     BivpSpec,
@@ -15,6 +15,7 @@ from quadplan.trajectory import (
     RepairExhaustedError,
     SingularSystemError,
     TrajectoryFileError,
+    _colliding_segments,
     banded_plu_solve,
     build_banded_system,
     collision_repair,
@@ -27,7 +28,13 @@ from quadplan.trajectory import (
     trapezoidal_time_allocation,
 )
 
-from oracles import dense_bivp_system, dense_solve_bivp, effort_of_coeffs, random_bivp_spec
+from oracles import (
+    band_to_dense,
+    dense_bivp_system,
+    dense_solve_bivp,
+    effort_of_coeffs,
+    random_bivp_spec,
+)
 
 
 def empty_grid(side=10):
@@ -113,7 +120,7 @@ def test_system_shape_and_bandwidth():
     rng = np.random.default_rng(7)
     spec = random_bivp_spec(rng, BivpSpec, max_segments=6)
     sys = build_banded_system(spec)
-    A = sys.to_dense()
+    A = band_to_dense(sys)
     for i in range(sys.n):
         for j in range(sys.n):
             if abs(i - j) > 2 * spec.s:
@@ -220,6 +227,12 @@ def test_segment_of_conventions():
         traj.eval(-0.0001)
 
 
+def test_piecewise_polynomial_rejects_bad_durations():
+    for bad in (0.0, -1.0, np.nan):
+        with pytest.raises(ValueError):
+            PiecewisePolynomial(np.zeros((2, 6, 3)), [1.0, bad], 3)
+
+
 def test_eval_matches_finite_differences():
     rng = np.random.default_rng(5)
     spec = random_bivp_spec(rng, BivpSpec, s=4, max_segments=5)
@@ -295,8 +308,6 @@ def test_repair_fixes_corner_cut():
     traj = solve_bivp(spec)
     repaired = collision_repair(traj, spec, grid, v_max=2.0, a_max=1.0)
     # Densely sample the result and recheck with the exact checker.
-    from quadplan.grid import segment_collision_free
-
     ts = np.linspace(0.0, repaired.total_duration, 2000)
     pts = np.array([repaired.eval(t) for t in ts])
     assert all(
@@ -330,6 +341,51 @@ def test_repair_keeps_waypoint_conditions():
     j = int(np.argmin(np.linalg.norm(out_wp - corner, axis=1)))
     assert np.allclose(out_wp[j], corner, atol=1e-9)
     assert np.allclose(repaired.eval(repaired.knots[j], 1), v_corner, atol=1e-9)
+
+
+def colliding_segments_by_eval(traj, grid, dt):
+    """Reference for _colliding_segments: the same samples, one eval call each."""
+    out = set()
+    knots = traj.knots
+    for i in range(traj.M):
+        t0, t1 = knots[i], knots[i + 1]
+        ts = np.linspace(t0, t1, max(2, int(math.ceil((t1 - t0) / dt)) + 1))
+        pts = np.array([traj.eval(min(t, traj.total_duration)) for t in ts])
+        if not all(segment_collision_free(grid, a, b) for a, b in zip(pts[:-1], pts[1:])):
+            out.add(i)
+    return out
+
+
+def test_colliding_segments_match_per_sample_eval():
+    """Every segment's last sample lies on the next knot (an interior one for
+    all but the last segment), where eval switches to the next segment."""
+    # Constant segments on either side of a wall: only the knot sample, which
+    # belongs to segment 1, joins segment 0's samples across the wall.
+    wall = np.zeros((10, 10, 10), dtype=bool)
+    wall[5] = True
+    coeffs = np.zeros((2, 6, 3))
+    coeffs[0, 0] = (2.5, 5.5, 5.5)
+    coeffs[1, 0] = (7.5, 5.5, 5.5)
+    jump = PiecewisePolynomial(coeffs, [1.0, 1.0], 3)
+    walled = OccupancyGrid(wall, 1.0)
+    assert _colliding_segments(jump, walled, 0.25) == {0}
+
+    grid, spec = corner_cut_instance()
+    cases = [(jump, walled), (solve_bivp(spec), grid)]
+    obstacles = ObstacleSpec(count=(15, 20), size_min=(2, 2, 2), size_max=(4, 4, 6))
+    cluttered = random_cluttered_map((20, 20, 20), 1.0, obstacles, seed=3)
+    rng = np.random.default_rng(12)
+    for _ in range(60):
+        wp = rng.uniform(1.0, 19.0, size=(int(rng.integers(2, 9)), 3))
+        durations = trapezoidal_time_allocation(wp, 2.0, 1.0)
+        cases.append((solve_bivp(BivpSpec.rest_to_rest(wp, durations, int(rng.integers(3, 5)))), cluttered))
+    some_collide = 0
+    for traj, g in cases:
+        for dt in (0.25, 0.1):
+            got = _colliding_segments(traj, g, dt)
+            assert got == colliding_segments_by_eval(traj, g, dt)
+            some_collide += 0 < len(got) < traj.M
+    assert some_collide >= 10
 
 
 def test_repair_exhausted():
@@ -376,6 +432,8 @@ def test_trajectory_load_errors(tmp_path):
         "non-numeric coefficient": good[:3] + ["1.0 x 2.0"] + good[4:],
         "zero duration": good[:1] + ["T=0"] + good[2:],
         "negative duration": good[:1] + ["T=-1.5"] + good[2:],
+        "nan duration": good[:1] + ["T=nan"] + good[2:],
+        "infinite duration": good[:1] + ["T=inf"] + good[2:],
     }
     for name, lines in bad_files.items():
         path.write_text("\n".join(lines) + "\n")
