@@ -177,49 +177,80 @@ def segment_voxels(grid: OccupancyGrid, a, b) -> np.ndarray:
 def _segment_free_walk(grid: OccupancyGrid, a, b) -> bool:
     """Amanatides-Woo style grid walk in scalar math (hot path). Same floor
     convention as segment_voxels; returns False on the first occupied or
-    out-of-bounds voxel."""
+    out-of-bounds voxel. Unrolled per axis into plain locals: on ties the
+    walk steps x before y before z."""
     occ = grid.occupancy
     nx, ny, nz = occ.shape
-    lo = grid._lo
+    lx, ly, lz = grid._lo
     inv = 1.0 / grid.resolution
-    # Voxel-space coordinates.
-    u0 = [(float(a[i]) - lo[i]) * inv for i in range(3)]
-    u1 = [(float(b[i]) - lo[i]) * inv for i in range(3)]
-    ix, iy, iz = (math.floor(c) for c in u0)
-    ex, ey, ez = (math.floor(c) for c in u1)
+    # Voxel-space coordinates of both endpoints.
+    ux = (float(a[0]) - lx) * inv
+    uy = (float(a[1]) - ly) * inv
+    uz = (float(a[2]) - lz) * inv
+    vx = (float(b[0]) - lx) * inv
+    vy = (float(b[1]) - ly) * inv
+    vz = (float(b[2]) - lz) * inv
+    ix = math.floor(ux)
+    iy = math.floor(uy)
+    iz = math.floor(uz)
+    ex = math.floor(vx)
+    ey = math.floor(vy)
+    ez = math.floor(vz)
     if not (0 <= ix < nx and 0 <= iy < ny and 0 <= iz < nz):
         return False
     if occ[ix, iy, iz]:
         return False
-    step = [0, 0, 0]
-    t_max = [math.inf, math.inf, math.inf]
-    t_delta = [math.inf, math.inf, math.inf]
-    cur = [ix, iy, iz]
-    for i in range(3):
-        d = u1[i] - u0[i]
-        if d > 0.0:
-            step[i] = 1
-            t_delta[i] = 1.0 / d
-            t_max[i] = (cur[i] + 1.0 - u0[i]) / d
-        elif d < 0.0:
-            step[i] = -1
-            t_delta[i] = -1.0 / d
-            t_max[i] = (cur[i] - u0[i]) / d
-    end = (ex, ey, ez)
+    # Per axis: voxel step, parameter t of the next face crossing, and the
+    # t between crossings; an axis the segment does not move along never
+    # crosses (t = inf).
+    d = vx - ux
+    if d > 0.0:
+        sx, tdx, tmx = 1, 1.0 / d, (ix + 1.0 - ux) / d
+    elif d < 0.0:
+        sx, tdx, tmx = -1, -1.0 / d, (ix - ux) / d
+    else:
+        sx, tdx, tmx = 0, math.inf, math.inf
+    d = vy - uy
+    if d > 0.0:
+        sy, tdy, tmy = 1, 1.0 / d, (iy + 1.0 - uy) / d
+    elif d < 0.0:
+        sy, tdy, tmy = -1, -1.0 / d, (iy - uy) / d
+    else:
+        sy, tdy, tmy = 0, math.inf, math.inf
+    d = vz - uz
+    if d > 0.0:
+        sz, tdz, tmz = 1, 1.0 / d, (iz + 1.0 - uz) / d
+    elif d < 0.0:
+        sz, tdz, tmz = -1, -1.0 / d, (iz - uz) / d
+    else:
+        sz, tdz, tmz = 0, math.inf, math.inf
     # Bounded walk: the number of crossings is at most the L1 index distance.
+    # Each step moves one axis, so only that axis needs a bounds check.
     for _ in range(abs(ex - ix) + abs(ey - iy) + abs(ez - iz) + 3):
-        if cur[0] == end[0] and cur[1] == end[1] and cur[2] == end[2]:
+        if ix == ex and iy == ey and iz == ez:
             return True
-        ax = 0 if t_max[0] <= t_max[1] and t_max[0] <= t_max[2] else (
-            1 if t_max[1] <= t_max[2] else 2
-        )
-        if t_max[ax] > 1.0:
-            return True
-        cur[ax] += step[ax]
-        t_max[ax] += t_delta[ax]
-        if not 0 <= cur[0] < nx or not 0 <= cur[1] < ny or not 0 <= cur[2] < nz:
-            return False
-        if occ[cur[0], cur[1], cur[2]]:
+        if tmx <= tmy and tmx <= tmz:
+            if tmx > 1.0:
+                return True
+            ix += sx
+            tmx += tdx
+            if not 0 <= ix < nx:
+                return False
+        elif tmy <= tmz:
+            if tmy > 1.0:
+                return True
+            iy += sy
+            tmy += tdy
+            if not 0 <= iy < ny:
+                return False
+        else:
+            if tmz > 1.0:
+                return True
+            iz += sz
+            tmz += tdz
+            if not 0 <= iz < nz:
+                return False
+        if occ[ix, iy, iz]:
             return False
     return True
 

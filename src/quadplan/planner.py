@@ -97,7 +97,16 @@ def informed_sample(start, goal, c_best: float, bounds, rng: np.random.Generator
 
 class SearchTree:
     """RRT* tree over world points with parent links, cost-from-start, and
-    child lists for cost propagation after rewiring."""
+    child lists for cost propagation after rewiring.
+
+    sq_dists keeps its last scan as (n, copy of the query point, result) and
+    returns that result again while the tree still has n vertices and the
+    query point is equal. Vertices never move, so only add invalidates it.
+    This makes most RRT* iterations one distance pass: plan queries
+    nearest(x_rand), steer returns a copy of x_rand whenever it lies within
+    step of that vertex, and extend_and_rewire's scan from x_new is then
+    served from the kept one.
+    """
 
     def __init__(self, root, capacity: int = 1024):
         self._pts = np.empty((capacity, 3), dtype=float)
@@ -106,6 +115,7 @@ class SearchTree:
         self.cost = np.zeros(capacity, dtype=float)
         self.children: list[list[int]] = [[]]
         self.n = 1
+        self._scan = (0, None, None)
 
     @property
     def points(self) -> np.ndarray:
@@ -132,9 +142,23 @@ class SearchTree:
         self.n = i + 1
         return i
 
+    def sq_dists(self, p) -> np.ndarray:
+        """Read-only squared distances from p to every vertex, in index
+        order; repeated queries are served from the last scan (see class
+        docstring)."""
+        p = np.asarray(p, dtype=float)
+        key = p.tolist()
+        n, last_key, d2 = self._scan
+        if n == self.n and key == last_key:
+            return d2
+        diff = self.points - p
+        d2 = np.einsum("ij,ij->i", diff, diff)
+        d2.setflags(write=False)
+        self._scan = (self.n, key, d2)
+        return d2
+
     def nearest(self, p) -> int:
-        diff = self.points - np.asarray(p, dtype=float)
-        return int(np.argmin(np.einsum("ij,ij->i", diff, diff)))
+        return int(np.argmin(self.sq_dists(p)))
 
     def set_parent(self, v: int, new_parent: int, new_cost: float) -> None:
         """Rewire v under new_parent and propagate the cost change to all
@@ -207,12 +231,12 @@ def extend_and_rewire(tree: SearchTree, x_new, grid: OccupancyGrid, radius: floa
 
     Caller guarantees x_new is collision-free from its nearest vertex.
     Duplicates of existing vertices (distance < 1e-9) are rejected by
-    returning the existing index.
+    returning the existing index. Distances come from tree.sq_dists, which
+    reuses the caller's nearest scan when x_new is the queried point.
     """
     x_new = np.asarray(x_new, dtype=float)
     pts = tree.points
-    diff = pts - x_new
-    d2 = np.einsum("ij,ij->i", diff, diff)
+    d2 = tree.sq_dists(x_new)
     nearest = int(np.argmin(d2))
     d_nearest = math.sqrt(d2[nearest])
     if d_nearest < _DUPLICATE_EPS:

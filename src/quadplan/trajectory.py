@@ -94,8 +94,8 @@ class BivpSpec:
         M = len(self.durations)
         if self.waypoints.shape[0] != M + 1:
             raise ValueError("need exactly M+1 waypoints for M durations")
-        if np.any(self.durations <= 0):
-            raise ValueError("segment durations must be strictly positive")
+        if not np.all(np.isfinite(self.durations) & (self.durations > 0)):
+            raise ValueError("segment durations must be positive and finite")
         m = self.waypoints.shape[1]
         if self.boundary_start is None:
             bs = np.zeros((m, self.s))

@@ -7,8 +7,11 @@ bandwidth-minimizing one."""
 import functools
 import heapq
 import itertools
+import math
 
 import numpy as np
+
+from quadplan.grid import segment_collision_free
 
 
 @functools.lru_cache(maxsize=None)
@@ -190,3 +193,48 @@ def reference_astar_path(grid, start, goal, no_path_error):
                 h = float(np.linalg.norm(nbr - goal_arr))
                 heapq.heappush(open_heap, (ng + h, h, nt))
     raise no_path_error(f"no free 26-connected path from {start} to {goal}")
+
+
+def reference_extend_and_rewire(tree, x_new, grid, radius):
+    """planner.extend_and_rewire as it was before the tree kept its last
+    distance scan: it scans every vertex from x_new itself, so plan's
+    nearest query and this one each pay their own O(n) pass. Must build the
+    identical tree (points, parents, costs) when swapped in for the library
+    function."""
+    x_new = np.asarray(x_new, dtype=float)
+    pts = tree.points
+    diff = pts - x_new
+    d2 = np.einsum("ij,ij->i", diff, diff)
+    nearest = int(np.argmin(d2))
+    d_nearest = math.sqrt(d2[nearest])
+    if d_nearest < 1e-9:
+        return nearest
+    near = np.flatnonzero(d2 <= radius * radius)
+    dists = np.sqrt(d2[near])
+    near_costs = tree.cost[near]
+
+    parent = nearest
+    best_cost = tree.cost[nearest] + d_nearest
+    if len(near):
+        through = near_costs + dists
+        for k in np.argsort(through):
+            if through[k] >= best_cost:
+                break
+            v = int(near[k])
+            if segment_collision_free(grid, pts[v], x_new):
+                parent, best_cost = v, float(through[k])
+                break
+    new_idx = tree.add(x_new, parent, best_cost)
+
+    if len(near):
+        improvable = np.flatnonzero(best_cost + dists < near_costs - 1e-12)
+        for k in improvable:
+            v = int(near[k])
+            if v == parent:
+                continue
+            c_through = best_cost + dists[k]
+            if c_through < tree.cost[v] - 1e-12 and segment_collision_free(
+                grid, x_new, pts[v]
+            ):
+                tree.set_parent(v, new_idx, c_through)
+    return new_idx

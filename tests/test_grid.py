@@ -1,5 +1,6 @@
 """Occupancy grid: transforms, collision queries, inflation, generation, I/O."""
 
+import itertools
 import struct
 
 import numpy as np
@@ -167,6 +168,109 @@ def test_walker_agrees_with_traversal_set():
             and not g.occupancy[idx[:, 0], idx[:, 1], idx[:, 2]].any()
         )
         assert segment_collision_free(g, a, b) == ref
+
+
+# -------------------------------------------------------- walker edge cases
+#
+# Endpoints on a half-voxel lattice strictly inside a 6^3 grid: an even
+# lattice coordinate lies on a voxel face, an odd one at a voxel centre, so
+# a point with one, two or three even coordinates sits on a face, an edge or
+# a corner. The walk's checked voxels are found by probing (an obstacle at v
+# alone blocks the segment iff the walk checks v) and compared with
+# segment_voxels and with the voxels the closed segment touches.
+
+_EDGE_DIMS = (6, 6, 6)
+_EDGE_GRIDS = [(0.5, (-1.5, 0.25, 2.0)), (0.3, (-1.2, 0.7, 2.1))]
+
+
+def _walked(res, origin, a, b):
+    out = set()
+    for v in itertools.product(*(range(n) for n in _EDGE_DIMS)):
+        occ = np.zeros(_EDGE_DIMS, dtype=bool)
+        occ[v] = True
+        if not segment_collision_free(OccupancyGrid(occ, res, origin), a, b):
+            out.add(v)
+    return out
+
+
+def _touched(res, origin, a, b, margin):
+    """Voxels whose box, grown by margin (shrunk if negative), meets the
+    closed segment a->b (slab test)."""
+    d = b - a
+    out = set()
+    for v in itertools.product(*(range(n) for n in _EDGE_DIMS)):
+        lo = np.asarray(origin) + np.asarray(v) * res - margin
+        hi = lo + res + 2 * margin
+        t0, t1 = 0.0, 1.0
+        for ax in range(3):
+            if d[ax] != 0.0:
+                s, e = sorted(((lo[ax] - a[ax]) / d[ax], (hi[ax] - a[ax]) / d[ax]))
+                t0, t1 = max(t0, s), min(t1, e)
+            elif not lo[ax] <= a[ax] <= hi[ax]:
+                t1 = -1.0  # parallel to this slab and outside it
+        if t0 <= t1:
+            out.add(v)
+    return out
+
+
+def _edge_case_segments(rng, n):
+    """(kind, a, b) in half-voxel lattice units 1..11."""
+    cases = [("zero", k, k) for k in itertools.product((2, 3), repeat=3)]
+    for _ in range(n):
+        ka = rng.integers(1, 12, 3)
+        kb = ka.copy()
+        kb[rng.integers(3)] = rng.integers(1, 12)
+        cases.append(("axis", ka, kb))
+        cases.append(("any", ka, np.clip(ka + rng.integers(-5, 6, 3), 1, 11)))
+    return cases
+
+
+@pytest.mark.parametrize("res,origin", _EDGE_GRIDS)
+def test_walker_edge_cases_against_segment_voxels(res, origin):
+    rng = np.random.default_rng(17)
+    origin_arr = np.asarray(origin)
+    empty = OccupancyGrid(np.zeros(_EDGE_DIMS, dtype=bool), res, origin)
+    eps = 1e-9 * res
+    for kind, ka, kb in _edge_case_segments(rng, 60):
+        a = origin_arr + np.asarray(ka) * (res / 2)
+        b = origin_arr + np.asarray(kb) * (res / 2)
+        walked = _walked(res, origin, a, b)
+        sv = {tuple(int(c) for c in v) for v in segment_voxels(empty, a, b)}
+        fa, fb = empty.world_to_index(a), empty.world_to_index(b)
+        msg = (kind, tuple(ka), tuple(kb))
+        # Every voxel the segment passes through is checked. At 0.3 the
+        # crossing parameters of segment_voxels round, so a segment through
+        # an edge may list a voxel it only touches; those are left out.
+        inside = _touched(res, origin, a, b, -eps)
+        assert inside <= walked, msg
+        if res == 0.5:
+            assert sv <= walked, msg
+        else:
+            assert sv & inside <= walked, msg
+        # Only voxels the closed segment touches are checked, the start
+        # voxel always, the end voxel whenever b is off every face.
+        assert walked <= _touched(res, origin, a, b, eps), msg
+        assert fa in walked, msg
+        if all(k % 2 for k in kb):
+            assert fb in walked, msg
+        if kind == "zero":
+            assert walked == sv == {fa}, msg
+        elif kind == "axis" and all(
+            ka[i] % 2 for i in range(3) if ka[i] == kb[i]
+        ):
+            assert walked == sv | {fa, fb}, msg
+
+
+def test_walker_tie_order_x_before_y_before_z():
+    """Through a voxel edge the walk steps x before y, and through a corner
+    x, then y, then z: it checks (1,0,0), not (0,1,0), on the way from
+    (0,0,0) to (1,1,0)."""
+    res, origin = 0.5, np.array([-1.5, 0.25, 2.0])
+    a = origin + np.array([0.5, 0.5, 0.5]) * res
+    walked = _walked(res, tuple(origin), a, origin + np.array([2.5, 2.5, 0.5]) * res)
+    assert walked == {(0, 0, 0), (1, 0, 0), (1, 1, 0), (2, 1, 0), (2, 2, 0)}
+    walked = _walked(res, tuple(origin), a, origin + np.array([1.5, 1.5, 1.5]) * res)
+    assert walked == {(0, 0, 0), (1, 0, 0), (1, 1, 0), (1, 1, 1)}
 
 
 # ------------------------------------------------------------------- inflation

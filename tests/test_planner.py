@@ -1,11 +1,14 @@
 """RRT* front end: radius formulas, steering, informed sampling, tree
 invariants, extension/rewiring semantics, and the three planning modes."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from quadplan import planner
+from quadplan.bench import paperlike_maps
 from quadplan.grid import (
     GoalRegion,
     ObstacleSpec,
@@ -24,6 +27,8 @@ from quadplan.planner import (
     steer,
 )
 from quadplan.regions import filter_region, oracle_region
+
+from oracles import reference_extend_and_rewire
 
 
 def empty_grid(side=10, resolution=1.0):
@@ -174,6 +179,105 @@ def test_tree_cost_propagation():
         radius = shrinking_radius(tree.n, 2.0, 10.0)
         extend_and_rewire(tree, p, g, radius)
     check_tree_invariants(tree)
+
+
+def test_sq_dists_recomputed_after_add():
+    tree = SearchTree(np.array([0.0, 0.0, 0.0]))
+    p = np.array([1.0, 2.0, 2.0])
+    d2 = tree.sq_dists(p)
+    assert tree.sq_dists(p) is d2  # repeated query: the same scan
+    assert np.array_equal(d2, [9.0])
+    tree.add(np.array([1.0, 2.0, 3.0]), 0, 3.0)
+    d2 = tree.sq_dists(p)
+    assert np.array_equal(d2, [9.0, 1.0])
+    assert tree.nearest(p) == 1
+    with pytest.raises(ValueError):
+        d2[0] = 0.0  # shared between callers, so read-only
+
+
+def test_sq_dists_keeps_a_copy_of_the_query():
+    tree = SearchTree(np.array([0.0, 0.0, 0.0]))
+    tree.add(np.array([4.0, 0.0, 0.0]), 0, 4.0)
+    p = np.array([1.0, 0.0, 0.0])
+    assert tree.nearest(p) == 0
+    p[0] = 3.0  # mutated in place after the call
+    assert np.array_equal(tree.sq_dists(p), [9.0, 1.0])
+    assert tree.nearest(p) == 1
+    assert np.array_equal(tree.sq_dists([1.0, 0.0, 0.0]), [1.0, 9.0])
+
+
+def test_duplicate_after_nearest_returns_existing_index():
+    """plan's order of calls: nearest(x) leaves x's scan behind, and
+    extend_and_rewire on an equal point (a duplicate of a vertex) reads it
+    and returns the existing index without adding."""
+    g = empty_grid(10)
+    tree = SearchTree(np.array([1.0, 1.0, 1.0]))
+    v = tree.add(np.array([3.0, 1.0, 1.0]), 0, 2.0)
+    for x in (np.array([3.0, 1.0, 1.0]), np.array([3.0 + 1e-10, 1.0, 1.0])):
+        assert tree.nearest(x) == v
+        assert extend_and_rewire(tree, x.copy(), g, 5.0) == v
+        assert tree.n == 2
+    # Once a vertex is added, the next query scans the new tree.
+    w = extend_and_rewire(tree, np.array([5.0, 1.0, 1.0]), g, 5.0)
+    assert w == 2 and tree.nearest(np.array([5.0, 1.0, 1.0])) == w
+
+
+def _identity_cases():
+    """(grid, start voxel, goal voxel, step): two empty grids,
+    eleven small cluttered maps with paperlike obstacles (some at
+    resolution 0.5 off the origin) and eight paperlike maps."""
+    cases = []
+    for side, res, origin in ((12, 1.0, (0.0, 0.0, 0.0)), (10, 0.5, (-1.0, 2.0, 0.5))):
+        grid = OccupancyGrid(np.zeros((side,) * 3, dtype=bool), res, origin)
+        cases.append((grid, (1, 1, 1), (side - 2,) * 3, 2.0 * res))
+    spec = ObstacleSpec(count=(6, 10), size_min=(2, 2, 2), size_max=(4, 4, 6), max_retries=200)
+    for i in range(11):
+        side = 12 + i % 5
+        res, origin = ((0.5, (0.25, -1.5, 1.0)) if i % 3 == 2 else (1.0, (0.0, 0.0, 0.0)))
+        keep = [(1, 1, 1), (side - 2,) * 3]
+        grid = random_cluttered_map((side,) * 3, res, spec, seed=100 + i,
+                                    origin=origin, keep_free=keep)
+        cases.append((grid, keep[0], keep[1], 2.0 * res))
+    for case in paperlike_maps(8, seed=5):
+        cases.append((case.grid, case.grid.world_to_index(case.start),
+                      case.grid.world_to_index(case.goal.center), 2.0))
+    return cases
+
+
+def _tree_state(result):
+    tree = result.tree
+    stats = dataclasses.asdict(result.stats)
+    # Wall-clock fields differ between any two runs.
+    del stats["initial_time"], stats["optimal_time"]
+    return tree.points.copy(), list(tree.parent), tree.cost[: tree.n].copy(), stats
+
+
+def test_plan_trees_match_reference_extend(monkeypatch):
+    """With the tree's kept scan, plan and extend_and_rewire share one
+    distance pass per iteration; swapping in the two-scan reference
+    extension must leave every tree, cost and statistic unchanged."""
+    cases = _identity_cases()
+    assert len(cases) >= 20
+    solved = {"uniform": 0, "informed": 0, "heuristic": 0}
+    for n, (grid, s_vox, g_vox, step) in enumerate(cases):
+        start = grid.index_to_world(s_vox)
+        goal = goal_at(grid.index_to_world(g_vox), 1.5 * step)
+        region = filter_region(oracle_region(grid, s_vox, g_vox), grid, s_vox, g_vox)
+        for mode in solved:
+            cfg = PlannerConfig(step=step, goal=goal, max_iterations=600,
+                                target_cost=0.0, rng_seed=n)
+            kwargs = {"mode": mode, "region": region if mode == "heuristic" else None}
+            with monkeypatch.context() as m:
+                m.setattr(planner, "extend_and_rewire", reference_extend_and_rewire)
+                want = _tree_state(plan(grid, start, cfg, **kwargs))
+            got = _tree_state(plan(grid, start, cfg, **kwargs))
+            assert np.array_equal(got[0], want[0]), (n, mode)
+            assert got[1] == want[1], (n, mode)
+            assert np.array_equal(got[2], want[2]), (n, mode)
+            assert got[3] == want[3], (n, mode)
+            solved[mode] += got[3]["success"]
+    # Most runs reach the goal, so informed sampling and refinement run too.
+    assert min(solved.values()) >= 10, solved
 
 
 # ------------------------------------------------------------------------ plan

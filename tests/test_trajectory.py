@@ -104,6 +104,15 @@ def test_bivp_spec_validation():
     assert spec.intermediate[0].shape == (3, 1)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
+def test_bivp_spec_rejects_non_finite_durations(bad):
+    """nan slips past a `<= 0` test; the spec itself must refuse it, before
+    any assembly or solve runs."""
+    wp = np.array([[0.0, 0, 0], [1, 0, 0], [2, 0, 0]])
+    with pytest.raises(ValueError, match="positive and finite"):
+        BivpSpec.rest_to_rest(wp, [1.0, bad], 3)
+
+
 # ------------------------------------------------------------- system assembly
 
 
