@@ -200,54 +200,54 @@ def _segment_free_walk(grid: OccupancyGrid, a, b) -> bool:
         return False
     if occ[ix, iy, iz]:
         return False
-    # Per axis: voxel step, parameter t of the next face crossing, and the
-    # t between crossings; an axis the segment does not move along never
-    # crosses (t = inf).
+    # Per axis: voxel step, steps left to the end voxel, parameter t of the
+    # next face crossing, and the t between crossings. An axis with no steps
+    # left never crosses again (t = inf), so the walk ends in the end voxel
+    # named by the floor convention even when a crossing parameter lands
+    # exactly on 1 or rounds past it.
     d = vx - ux
-    if d > 0.0:
-        sx, tdx, tmx = 1, 1.0 / d, (ix + 1.0 - ux) / d
-    elif d < 0.0:
-        sx, tdx, tmx = -1, -1.0 / d, (ix - ux) / d
-    else:
+    cx = abs(ex - ix)
+    if cx == 0:
         sx, tdx, tmx = 0, math.inf, math.inf
+    elif d > 0.0:
+        sx, tdx, tmx = 1, 1.0 / d, (ix + 1.0 - ux) / d
+    else:
+        sx, tdx, tmx = -1, -1.0 / d, (ix - ux) / d
     d = vy - uy
-    if d > 0.0:
-        sy, tdy, tmy = 1, 1.0 / d, (iy + 1.0 - uy) / d
-    elif d < 0.0:
-        sy, tdy, tmy = -1, -1.0 / d, (iy - uy) / d
-    else:
+    cy = abs(ey - iy)
+    if cy == 0:
         sy, tdy, tmy = 0, math.inf, math.inf
-    d = vz - uz
-    if d > 0.0:
-        sz, tdz, tmz = 1, 1.0 / d, (iz + 1.0 - uz) / d
-    elif d < 0.0:
-        sz, tdz, tmz = -1, -1.0 / d, (iz - uz) / d
+    elif d > 0.0:
+        sy, tdy, tmy = 1, 1.0 / d, (iy + 1.0 - uy) / d
     else:
+        sy, tdy, tmy = -1, -1.0 / d, (iy - uy) / d
+    d = vz - uz
+    cz = abs(ez - iz)
+    if cz == 0:
         sz, tdz, tmz = 0, math.inf, math.inf
-    # Bounded walk: the number of crossings is at most the L1 index distance.
-    # Each step moves one axis, so only that axis needs a bounds check.
-    for _ in range(abs(ex - ix) + abs(ey - iy) + abs(ez - iz) + 3):
-        if ix == ex and iy == ey and iz == ez:
-            return True
+    elif d > 0.0:
+        sz, tdz, tmz = 1, 1.0 / d, (iz + 1.0 - uz) / d
+    else:
+        sz, tdz, tmz = -1, -1.0 / d, (iz - uz) / d
+    # One step per remaining count; each step moves one axis, so only that
+    # axis needs a bounds check.
+    for _ in range(cx + cy + cz):
         if tmx <= tmy and tmx <= tmz:
-            if tmx > 1.0:
-                return True
             ix += sx
-            tmx += tdx
+            cx -= 1
+            tmx = tmx + tdx if cx else math.inf
             if not 0 <= ix < nx:
                 return False
         elif tmy <= tmz:
-            if tmy > 1.0:
-                return True
             iy += sy
-            tmy += tdy
+            cy -= 1
+            tmy = tmy + tdy if cy else math.inf
             if not 0 <= iy < ny:
                 return False
         else:
-            if tmz > 1.0:
-                return True
             iz += sz
-            tmz += tdz
+            cz -= 1
+            tmz = tmz + tdz if cz else math.inf
             if not 0 <= iz < nz:
                 return False
         if occ[ix, iy, iz]:

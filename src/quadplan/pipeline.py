@@ -122,7 +122,7 @@ def flat_flag_at(traj: PiecewisePolynomial, t: float, s: int | None = None) -> n
     """Stacked output and derivatives up to order s-1 at time t, shape (m, s):
     column k is the k-th derivative."""
     s = traj.s if s is None else s
-    return np.column_stack([traj.eval(t, k) for k in range(s)])
+    return np.ascontiguousarray(traj.derivatives(t, s).T)
 
 
 def yaw_profile(

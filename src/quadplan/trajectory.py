@@ -8,6 +8,8 @@ repair loop.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -58,16 +60,35 @@ def trapezoidal_time_allocation(waypoints, v_max: float, a_max: float) -> np.nda
     )
 
 
+@functools.lru_cache(maxsize=None)
+def _basis_table(n: int, orders: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only factor and exponent matrices of the derivative basis:
+    C[k, j] = perm(j, k) = j! / (j-k)! (zero for j < k) and E[k, j] =
+    max(j - k, 0), for derivative orders k < orders and monomials j < n."""
+    factors = np.array([[math.perm(j, k) for j in range(n)] for k in range(orders)], dtype=float)
+    exponents = np.maximum(np.arange(n)[None, :] - np.arange(orders)[:, None], 0).astype(float)
+    factors.setflags(write=False)
+    exponents.setflags(write=False)
+    return factors, exponents
+
+
+def _basis_rows(tau, n: int, orders: int) -> np.ndarray:
+    """Rows k = 0..orders-1 of the derivative basis at tau, (orders, n); a
+    column of times tau[:, None] with orders=1 gives one row 0 per time.
+
+    np.float_power calls the C library's pow, as a scalar tau ** (j - k)
+    does (np.power on float64 arrays may take a SIMD pow that differs in the
+    last bit), so each entry equals perm(j, k) * tau ** (j - k)."""
+    factors, exponents = _basis_table(n, orders)
+    return factors * np.float_power(tau, exponents)
+
+
 def poly_basis(tau: float, s: int, k: int = 0) -> np.ndarray:
     """k-th derivative of the monomial basis (1, x, ..., x^(2s-1)) at tau."""
     n = 2 * s
     if not 0 <= k <= n - 1:
         raise ValueError("derivative order out of range")
-    out = np.zeros(n)
-    for j in range(k, n):
-        coeff = math.perm(j, k)  # j! / (j-k)!
-        out[j] = coeff * tau ** (j - k)
-    return out
+    return _basis_rows(tau, n, k + 1)[k]
 
 
 @dataclass
@@ -154,6 +175,21 @@ class BandedSystem:
         self.band[self.kl + self.ku + i - j, j] = v
 
 
+@functools.lru_cache(maxsize=None)
+def _joint_rows(s: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-joint row templates indexed by d_i = 1..s (row 0 unused): the
+    derivative order of each of the 2s rows, and whether the row is a
+    continuity row (else a waypoint condition row)."""
+    orders = np.zeros((s + 1, 2 * s), dtype=np.intp)
+    continuity = np.zeros((s + 1, 2 * s), dtype=bool)
+    for d in range(1, s + 1):
+        orders[d] = [*range(s, 2 * s - d), *range(d), *range(s)]
+        continuity[d] = [True] * (s - d) + [False] * d + [True] * s
+    orders.setflags(write=False)
+    continuity.setflags(write=False)
+    return orders, continuity
+
+
 def build_banded_system(spec: BivpSpec) -> BandedSystem:
     """Assemble the boundary/waypoint/continuity equations.
 
@@ -161,63 +197,50 @@ def build_banded_system(spec: BivpSpec) -> BandedSystem:
     joint i, continuity rows for derivative orders s..2s-d_i-1, then the d_i
     condition rows, then continuity rows for orders 0..s-1; finally s end
     rows. Row count is s + sum(2s per joint) + s = 2Ms exactly.
+
+    Every row is the basis row of one derivative order at one time, placed
+    from one first column: all rows come from one basis-table call, and
+    their nonzeros and the -k! continuity entries are scattered into the
+    band at once.
     """
     s, M, m = spec.s, spec.M, spec.m
-    n = 2 * M * s
-    kl = ku = 2 * s
+    w = 2 * s
+    n = w * M
+    kl = ku = w
     sys = BandedSystem(n, kl, ku, np.zeros((2 * kl + ku + 1, n)), np.zeros((n, m)))
 
-    # Start boundary: derivatives 0..s-1 of segment 1 at tau = 0.
-    for k in range(s):
-        basis = poly_basis(0.0, s, k)
-        for j in range(2 * s):
-            if basis[j] != 0.0:
-                sys.set(k, j, basis[j])
-        sys.rhs[k] = spec.boundary_start[:, k]
+    # Per row: derivative order, evaluation time and first column. Start rows
+    # read segment 1 at tau = 0, joint i's rows segment i at tau = T_i, end
+    # rows segment M at tau = T_M.
+    tmpl_orders, tmpl_continuity = _joint_rows(s)
+    d = [g.shape[1] for g in spec.intermediate]
+    joint_orders = tmpl_orders[d]  # (M-1, 2s)
+    continuity = tmpl_continuity[d]
+    first = np.arange(M) * w
+    orders = np.concatenate([np.arange(s), joint_orders.ravel(), np.arange(s)])
+    times = np.concatenate(
+        [np.zeros(s), np.repeat(spec.durations[:-1], w), np.full(s, spec.durations[-1])]
+    )
+    cols = np.concatenate([np.zeros(s, np.intp), np.repeat(first[:-1], w), np.full(s, first[-1])])
 
-    for i in range(1, M):
-        T = spec.durations[i - 1]
-        g = spec.intermediate[i - 1]
-        d_i = g.shape[1]
-        r0 = s + (i - 1) * 2 * s
-        c_prev = (i - 1) * 2 * s
-        c_next = i * 2 * s
-        r = r0
-        # High-order continuity (orders s .. 2s - d_i - 1).
-        for k in range(s, 2 * s - d_i):
-            basis = poly_basis(T, s, k)
-            for j in range(2 * s):
-                if basis[j] != 0.0:
-                    sys.set(r, c_prev + j, basis[j])
-            sys.set(r, c_next + k, -math.factorial(k))
-            r += 1
-        # Waypoint condition rows (derivative orders 0 .. d_i - 1 at tau = T).
-        for k in range(d_i):
-            basis = poly_basis(T, s, k)
-            for j in range(2 * s):
-                if basis[j] != 0.0:
-                    sys.set(r, c_prev + j, basis[j])
-            sys.rhs[r] = g[:, k]
-            r += 1
-        # Low-order continuity (orders 0 .. s-1).
-        for k in range(s):
-            basis = poly_basis(T, s, k)
-            for j in range(2 * s):
-                if basis[j] != 0.0:
-                    sys.set(r, c_prev + j, basis[j])
-            sys.set(r, c_next + k, -math.factorial(k))
-            r += 1
+    factors, exponents = _basis_table(w, w)
+    basis = factors[orders] * np.float_power(times[:, None], exponents[orders])
+    r, j = np.nonzero(basis)
+    c = cols[r] + j
+    sys.band[kl + ku + r - c, c] = basis[r, j]
 
-    # End boundary: derivatives 0..s-1 of segment M at tau = T_M.
-    T = spec.durations[-1]
-    c_last = (M - 1) * 2 * s
-    for k in range(s):
-        r = n - s + k
-        basis = poly_basis(T, s, k)
-        for j in range(2 * s):
-            if basis[j] != 0.0:
-                sys.set(r, c_last + j, basis[j])
-        sys.rhs[r] = spec.boundary_end[:, k]
+    # Continuity rows also carry -k! on order k of the next segment.
+    joint_row = np.arange(s, n - s).reshape(M - 1, w)
+    r = joint_row[continuity]
+    k = joint_orders[continuity]
+    c = cols[r] + w + k
+    neg_factorial = -np.array([math.factorial(i) for i in range(w)], dtype=float)
+    sys.band[kl + ku + r - c, c] = neg_factorial[k]
+
+    sys.rhs[:s] = spec.boundary_start.T
+    if M > 1:
+        sys.rhs[joint_row[~continuity]] = np.concatenate([g.T for g in spec.intermediate])
+    sys.rhs[n - s :] = spec.boundary_end.T
     return sys
 
 
@@ -242,6 +265,8 @@ class PiecewisePolynomial:
     """M segments of degree 2s-1 over local time tau in [0, T_i].
 
     coeffs[i, j, :] is the m-vector coefficient of tau^j on segment i.
+    durations is a read-only copy of the given array, so the knots and total
+    duration computed here stay valid.
     """
 
     coeffs: np.ndarray  # (M, 2s, m)
@@ -249,14 +274,21 @@ class PiecewisePolynomial:
     s: int
 
     def __post_init__(self):
+        durations = np.array(self.durations, dtype=float)
+        durations.setflags(write=False)
         object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=float))
-        object.__setattr__(self, "durations", np.asarray(self.durations, dtype=float))
+        object.__setattr__(self, "durations", durations)
         if self.coeffs.ndim != 3 or self.coeffs.shape[1] != 2 * self.s:
             raise ValueError("coefficient stack must have shape (M, 2s, m)")
-        if len(self.durations) != self.coeffs.shape[0]:
+        if durations.ndim != 1 or len(durations) != self.coeffs.shape[0]:
             raise ValueError("durations/segments mismatch")
-        if not np.all(np.isfinite(self.durations) & (self.durations > 0)):
+        if not np.all(np.isfinite(durations) & (durations > 0)):
             raise ValueError("segment durations must be positive and finite")
+        knots = np.concatenate([[0.0], np.cumsum(durations)])
+        knots.setflags(write=False)
+        object.__setattr__(self, "_knots", knots)
+        object.__setattr__(self, "_knot_list", knots.tolist())
+        object.__setattr__(self, "_total", float(np.sum(durations)))
 
     @property
     def M(self) -> int:
@@ -268,35 +300,42 @@ class PiecewisePolynomial:
 
     @property
     def knots(self) -> np.ndarray:
-        return np.concatenate([[0.0], np.cumsum(self.durations)])
+        """Segment start times and the end of the last, (M+1,), read-only."""
+        return self._knots
 
     @property
     def total_duration(self) -> float:
-        return float(np.sum(self.durations))
+        return self._total
 
     def segment_of(self, t: float) -> tuple[int, float]:
         """Segment index and local time; right-open intervals, last closed."""
-        total = self.total_duration
+        total = self._total
         if not 0.0 <= t <= total:
             raise DomainError(f"t={t} outside [0, {total}]")
-        knots = self.knots
-        i = int(np.searchsorted(knots, t, side="right")) - 1
-        i = min(i, self.M - 1)
-        return i, t - knots[i]
+        i = min(bisect.bisect_right(self._knot_list, t) - 1, self.M - 1)
+        return i, t - self._knots[i]
+
+    def derivatives(self, t: float, orders: int) -> np.ndarray:
+        """Derivatives 0..orders-1 of the trajectory at global time t, as an
+        (orders, m) array whose row k is eval(t, k). Needs 1 <= orders <= 2s."""
+        i, tau = self.segment_of(t)
+        n = 2 * self.s
+        if not 1 <= orders <= n:
+            raise ValueError("derivative order out of range")
+        basis = _basis_rows(tau, n, orders)
+        # A stack of vector-matrix products sums each row as
+        # poly_basis(tau, s, k) @ coeffs[i] does; a 2-D basis @ coeffs
+        # product may sum in another order.
+        return np.matmul(basis[:, None, :], self.coeffs[i])[:, 0, :]
 
     def eval(self, t: float, k: int = 0) -> np.ndarray:
         """k-th derivative of the trajectory at global time t (m-vector)."""
-        i, tau = self.segment_of(t)
-        basis = poly_basis(tau, self.s, k)
-        return basis @ self.coeffs[i]
+        return self.derivatives(t, k + 1)[k]
 
     def waypoints(self) -> np.ndarray:
         """Positions at the segment knots, (M+1, m)."""
-        pts = [self.eval(0.0)]
-        knots = self.knots
-        for i in range(1, self.M + 1):
-            pts.append(self.eval(min(knots[i], self.total_duration)))
-        return np.array(pts)
+        total = self._total
+        return np.array([self.eval(min(t, total)) for t in self._knot_list])
 
 
 def solve_bivp(spec: BivpSpec) -> PiecewisePolynomial:
@@ -305,7 +344,7 @@ def solve_bivp(spec: BivpSpec) -> PiecewisePolynomial:
     sys = build_banded_system(spec)
     c = banded_plu_solve(sys)
     coeffs = c.reshape(spec.M, 2 * spec.s, spec.m)
-    return PiecewisePolynomial(coeffs, spec.durations.copy(), spec.s)
+    return PiecewisePolynomial(coeffs, spec.durations, spec.s)
 
 
 def control_effort(traj: PiecewisePolynomial) -> float:
@@ -372,21 +411,20 @@ def _colliding_segments(traj: PiecewisePolynomial, grid: OccupancyGrid, dt: floa
 
     Each segment's samples are evaluated in one batch with the segment lookup
     of PiecewisePolynomial.segment_of: a sample on a knot belongs to the next
-    segment. np.float_power calls the C library's pow, as eval's scalar power
-    does (np.power on float64 arrays may take a SIMD pow that differs in the
-    last bit), and the stacked matmul makes the same vector-matrix product
-    per sample, so the points equal eval's.
+    segment. Row 0 of the basis table and the stacked matmul make the same
+    basis and vector-matrix product per sample as eval, so the points equal
+    eval's.
     """
     out = set()
     knots = traj.knots
     total = traj.total_duration
-    exponents = np.arange(2 * traj.s, dtype=float)
+    n = 2 * traj.s
     for i in range(traj.M):
         t0, t1 = knots[i], knots[i + 1]
         ts = np.linspace(t0, t1, max(2, int(math.ceil((t1 - t0) / dt)) + 1))
         ts = np.minimum(ts, total)
         seg = np.minimum(np.searchsorted(knots, ts, side="right") - 1, traj.M - 1)
-        basis = np.float_power((ts - knots[seg])[:, None], exponents)
+        basis = _basis_rows((ts - knots[seg])[:, None], n, 1)
         pts = np.matmul(basis[:, None, :], traj.coeffs[seg])[:, 0, :].tolist()
         for a, b in zip(pts[:-1], pts[1:]):
             if not segment_collision_free(grid, a, b):
@@ -453,9 +491,7 @@ def export_csv(traj: PiecewisePolynomial, path, dt: float) -> None:
     with open(path, "w") as f:
         f.write("t,x,y,z,vx,vy,vz,ax,ay,az\n")
         for t in ts:
-            p = traj.eval(t, 0)
-            v = traj.eval(t, 1)
-            a = traj.eval(t, 2)
+            p, v, a = traj.derivatives(t, 3)
             f.write(
                 f"{t:.9g}," + ",".join(f"{c:.9g}" for c in (*p, *v, *a)) + "\n"
             )

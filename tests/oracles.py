@@ -12,6 +12,7 @@ import math
 import numpy as np
 
 from quadplan.grid import segment_collision_free
+from quadplan.trajectory import BandedSystem
 
 
 @functools.lru_cache(maxsize=None)
@@ -107,11 +108,12 @@ def effort_of_coeffs(coeffs, durations, s):
     return float(total)
 
 
-def random_bivp_spec(rng, bivp_cls, s=None, max_segments=50):
+def random_bivp_spec(rng, bivp_cls, s=None, max_segments=50, M=None):
     """Random well-posed problem: random waypoints, positive durations,
-    random intermediate orders d_i in [1, s], random boundary flags."""
+    random intermediate orders d_i in [1, s], random boundary flags. M
+    segments if given, else between 1 and max_segments."""
     s = int(rng.integers(3, 5)) if s is None else s
-    M = int(rng.integers(1, max_segments + 1))
+    M = int(rng.integers(1, max_segments + 1)) if M is None else M
     m = 3
     waypoints = rng.normal(size=(M + 1, m)) * 5.0
     durations = rng.uniform(0.4, 2.5, M)
@@ -133,6 +135,71 @@ def random_bivp_spec(rng, bivp_cls, s=None, max_segments=50):
         boundary_end=be,
         intermediate=intermediate,
     )
+
+
+def reference_poly_basis(tau, s, k):
+    """k-th derivative of (1, tau, ..., tau^(2s-1)), one scalar power per
+    entry: perm(j, k) * tau ** (j - k) for j >= k."""
+    out = np.zeros(2 * s)
+    for j in range(k, 2 * s):
+        out[j] = math.perm(j, k) * tau ** (j - k)
+    return out
+
+
+def reference_eval(traj, t, k):
+    """PiecewisePolynomial.eval as it was before the basis table: segment by
+    np.searchsorted on freshly summed knots (right-open, last closed), then
+    one vector-matrix product with a reference_poly_basis row."""
+    total = float(np.sum(traj.durations))
+    if not 0.0 <= t <= total:
+        raise ValueError(f"t={t} outside [0, {total}]")
+    knots = np.concatenate([[0.0], np.cumsum(traj.durations)])
+    i = min(int(np.searchsorted(knots, t, side="right")) - 1, traj.M - 1)
+    return reference_poly_basis(t - knots[i], traj.s, k) @ traj.coeffs[i]
+
+
+def reference_build_banded_system(spec):
+    """trajectory.build_banded_system as it was before the basis table: the
+    same row layout built one row and one band entry at a time, from
+    reference_poly_basis rows. Must give the identical band and rhs."""
+    s, M, m = spec.s, spec.M, spec.m
+    n = 2 * M * s
+    kl = ku = 2 * s
+    sys = BandedSystem(n, kl, ku, np.zeros((2 * kl + ku + 1, n)), np.zeros((n, m)))
+
+    def put_row(r, col, T, k):
+        basis = reference_poly_basis(T, s, k)
+        for j in range(2 * s):
+            if basis[j] != 0.0:
+                sys.set(r, col + j, basis[j])
+
+    for k in range(s):
+        put_row(k, 0, 0.0, k)
+        sys.rhs[k] = spec.boundary_start[:, k]
+    for i in range(1, M):
+        T = spec.durations[i - 1]
+        g = spec.intermediate[i - 1]
+        d_i = g.shape[1]
+        c_prev = (i - 1) * 2 * s
+        c_next = i * 2 * s
+        r = s + (i - 1) * 2 * s
+        for k in range(s, 2 * s - d_i):
+            put_row(r, c_prev, T, k)
+            sys.set(r, c_next + k, -math.factorial(k))
+            r += 1
+        for k in range(d_i):
+            put_row(r, c_prev, T, k)
+            sys.rhs[r] = g[:, k]
+            r += 1
+        for k in range(s):
+            put_row(r, c_prev, T, k)
+            sys.set(r, c_next + k, -math.factorial(k))
+            r += 1
+    T = spec.durations[-1]
+    for k in range(s):
+        put_row(n - s + k, (M - 1) * 2 * s, T, k)
+        sys.rhs[n - s + k] = spec.boundary_end[:, k]
+    return sys
 
 
 _ASTAR_OFFSETS = np.array(

@@ -247,12 +247,11 @@ def test_walker_edge_cases_against_segment_voxels(res, origin):
             assert sv <= walked, msg
         else:
             assert sv & inside <= walked, msg
-        # Only voxels the closed segment touches are checked, the start
-        # voxel always, the end voxel whenever b is off every face.
+        # Only voxels the closed segment touches are checked, and always the
+        # start and end voxels named by the floor convention.
         assert walked <= _touched(res, origin, a, b, eps), msg
         assert fa in walked, msg
-        if all(k % 2 for k in kb):
-            assert fb in walked, msg
+        assert fb in walked, msg
         if kind == "zero":
             assert walked == sv == {fa}, msg
         elif kind == "axis" and all(
@@ -271,6 +270,33 @@ def test_walker_tie_order_x_before_y_before_z():
     assert walked == {(0, 0, 0), (1, 0, 0), (1, 1, 0), (2, 1, 0), (2, 2, 0)}
     walked = _walked(res, tuple(origin), a, origin + np.array([1.5, 1.5, 1.5]) * res)
     assert walked == {(0, 0, 0), (1, 0, 0), (1, 1, 0), (1, 1, 1)}
+
+
+def test_walker_stops_at_the_end_voxel():
+    """The walk takes exactly as many steps per axis as the floor convention
+    puts between the end voxels. A crossing that lands on t = 1 on an axis
+    with no steps left is not taken, and one that rounds past 1 on an axis
+    with a step left still is."""
+    # One obstacle far from the segment, so the walk runs (a grid with no
+    # obstacles only checks the endpoints' bounds).
+    occ = np.zeros((6, 6, 6), dtype=bool)
+    occ[0, 5, 0] = True
+    free = OccupancyGrid(occ, 0.5)
+    # y ends exactly on the face y = 0 while z crosses at t = 1 too: the
+    # end voxel is (5, 0, 3), the walk must not step y to -1.
+    a, b = (2.5, 0.25, 1.0), (2.5, 0.0, 1.5)
+    assert free.world_to_index(b) == (5, 0, 3)
+    assert segment_collision_free(free, a, b)
+    assert segment_collision_free(free, b, a)
+    # Here the accumulated z crossing rounds to just above 1, yet b lies in
+    # the occupied voxel (3, 1, 3).
+    occ = np.zeros((6, 6, 6), dtype=bool)
+    occ[3, 1, 3] = True
+    blocked = OccupancyGrid(occ, 0.5)
+    a, b = (2.0, 0.75, 0.25), (1.5, 0.5, 1.5)
+    assert blocked.world_to_index(b) == (3, 1, 3)
+    assert not segment_collision_free(blocked, a, b)
+    assert not segment_collision_free(blocked, b, a)
 
 
 # ------------------------------------------------------------------- inflation

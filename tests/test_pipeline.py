@@ -24,7 +24,9 @@ from quadplan.pipeline import (
 )
 from quadplan.planner import PlannerConfig
 from quadplan.regions import NoPathError
-from quadplan.trajectory import BivpSpec, control_effort, solve_bivp
+from quadplan.trajectory import BivpSpec, DomainError, control_effort, solve_bivp
+
+from oracles import reference_eval
 
 
 def empty_grid(side=10):
@@ -177,16 +179,26 @@ def test_pipeline_inflation():
 
 
 def test_flat_flag_matches_eval():
-    spec = BivpSpec.rest_to_rest(
-        np.array([[0.0, 0, 0], [2.0, 1, 0], [4.0, 0, 1]]), [2.0, 2.0], 3
-    )
-    traj = solve_bivp(spec)
-    for t in (0.0, 0.7, 2.0, 3.9):
-        flag = flat_flag_at(traj, t)
-        assert flag.shape == (3, 3)
-        for k in range(3):
-            assert np.array_equal(flag[:, k], traj.eval(t, k))
-    assert flat_flag_at(traj, 1.0, s=2).shape == (3, 2)
+    """Column k of the flag is eval(t, k) bit for bit: at 0, at every knot
+    (where the next segment is read), at the total duration and in between,
+    for the trajectory's order and every order below it."""
+    rng = np.random.default_rng(3)
+    wp = np.cumsum(rng.normal(size=(7, 3)), axis=0)
+    traj = solve_bivp(BivpSpec.rest_to_rest(wp, rng.uniform(0.5, 2.0, 6), 3))
+    T = traj.total_duration
+    for t in (0.0, *traj.knots[1:-1], T, *rng.uniform(0.0, T, 20)):
+        for s in (1, 2, 3, 6):
+            flag = flat_flag_at(traj, t, s=s)
+            assert flag.shape == (3, s) and flag.flags.c_contiguous
+            for k in range(s):
+                assert np.array_equal(flag[:, k], traj.eval(t, k)), (t, s, k)
+                assert np.array_equal(flag[:, k], reference_eval(traj, t, k)), (t, s, k)
+    assert np.array_equal(flat_flag_at(traj, 1.0), flat_flag_at(traj, 1.0, s=3))
+    for t in (-1e-9, T * (1 + 1e-9)):
+        with pytest.raises(DomainError):
+            flat_flag_at(traj, t)
+    with pytest.raises(ValueError):
+        flat_flag_at(traj, 1.0, s=7)  # beyond order 2s - 1
 
 
 def test_yaw_profile():

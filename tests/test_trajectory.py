@@ -34,6 +34,9 @@ from oracles import (
     dense_solve_bivp,
     effort_of_coeffs,
     random_bivp_spec,
+    reference_build_banded_system,
+    reference_eval,
+    reference_poly_basis,
 )
 
 
@@ -78,6 +81,20 @@ def test_poly_basis():
     assert np.array_equal(poly_basis(2.0, 3, 1), [0, 1, 4, 12, 32, 80])
     with pytest.raises(ValueError):
         poly_basis(0.0, 3, 6)
+    with pytest.raises(ValueError):
+        poly_basis(0.0, 3, -1)
+
+
+def test_poly_basis_matches_scalar_powers():
+    """Rows of the basis table equal perm(j, k) * tau ** (j - k) bit for
+    bit, for Python and numpy float times."""
+    rng = np.random.default_rng(11)
+    taus = [0.0, 1.0, 0.5, 2.0, 1e-300, 1e10, *rng.uniform(0.0, 5.0, 200)]
+    for s in (1, 2, 3, 4):
+        for tau in taus:
+            for t in (float(tau), np.float64(tau)):
+                for k in range(2 * s):
+                    assert np.array_equal(poly_basis(t, s, k), reference_poly_basis(t, s, k))
 
 
 # ------------------------------------------------------------------- spec type
@@ -134,6 +151,25 @@ def test_system_shape_and_bandwidth():
         for j in range(sys.n):
             if abs(i - j) > 2 * spec.s:
                 assert A[i, j] == 0.0
+
+
+def test_banded_assembly_matches_reference_loop():
+    """The table-driven assembly writes the same band and rhs, bit for bit,
+    as the row-by-row loop, for every s, M up to 40, mixed d_i and non-zero
+    boundary flags."""
+    rng = np.random.default_rng(12)
+    for s in (1, 2, 3, 4):
+        for M in range(1, 41):
+            spec = random_bivp_spec(rng, BivpSpec, s=s, M=M)
+            assert np.any(spec.boundary_start[:, 1:]) or s == 1
+            got = build_banded_system(spec)
+            want = reference_build_banded_system(spec)
+            assert (got.n, got.kl, got.ku) == (want.n, want.kl, want.ku)
+            assert np.array_equal(got.band, want.band), (s, M)
+            assert np.array_equal(got.rhs, want.rhs), (s, M)
+    # Every order d_i = 1..s occurs at some joint.
+    spec = random_bivp_spec(np.random.default_rng(13), BivpSpec, s=4, M=40)
+    assert {g.shape[1] for g in spec.intermediate} == {1, 2, 3, 4}
 
 
 def test_banded_set_rejects_out_of_band():
@@ -234,6 +270,52 @@ def test_segment_of_conventions():
         traj.eval(3.0001)
     with pytest.raises(DomainError):
         traj.eval(-0.0001)
+
+
+def test_durations_and_knots_are_read_only():
+    """The knots and total duration are computed once, so the durations they
+    come from must not change under them; the caller's array is copied and
+    left as it was."""
+    given = np.array([1.0, 2.0, 0.5])
+    traj = PiecewisePolynomial(np.zeros((3, 6, 2)), given, 3)
+    for arr in (traj.durations, traj.knots):
+        with pytest.raises(ValueError):
+            arr[0] = 7.0
+    assert given.flags.writeable
+    given[0] = 9.0
+    assert np.array_equal(traj.durations, [1.0, 2.0, 0.5])
+    assert np.array_equal(traj.knots, [0.0, 1.0, 3.0, 3.5])
+    assert traj.total_duration == 3.5
+    assert traj.segment_of(3.5) == (2, 0.5)
+    # The total stays np.sum's pairwise sum, which over many segments differs
+    # from the last cumulative knot in the last bits.
+    many = np.random.default_rng(0).uniform(0.1, 3.0, 200)
+    traj = PiecewisePolynomial(np.zeros((200, 6, 1)), many, 3)
+    assert traj.total_duration == float(np.sum(many)) != traj.knots[-1]
+
+
+def test_derivatives_rows_match_eval():
+    """Row k of derivatives(t, orders) is eval(t, k), and both equal the
+    scalar-power basis row times the segment's coefficients bit for bit."""
+    rng = np.random.default_rng(14)
+    for s in (1, 2, 3, 4):
+        traj = solve_bivp(random_bivp_spec(rng, BivpSpec, s=s, max_segments=8))
+        T = traj.total_duration
+        ts = [0.0, T, *traj.knots[1:-1], *rng.uniform(0.0, T, 20)]
+        for t in ts:
+            for orders in range(1, 2 * s + 1):
+                rows = traj.derivatives(t, orders)
+                assert rows.shape == (orders, traj.m)
+                for k in range(orders):
+                    assert np.array_equal(rows[k], traj.eval(t, k)), (s, t, k)
+                    assert np.array_equal(rows[k], reference_eval(traj, t, k)), (s, t, k)
+        for bad in (0, 2 * s + 1):
+            with pytest.raises(ValueError):
+                traj.derivatives(0.5 * T, bad)
+        with pytest.raises(DomainError):
+            traj.derivatives(T * (1 + 1e-9), 1)
+        with pytest.raises(ValueError):
+            traj.eval(0.5 * T, -1)
 
 
 def test_piecewise_polynomial_rejects_bad_durations():
@@ -468,3 +550,25 @@ def test_export_csv(tmp_path):
     mono = PiecewisePolynomial(np.zeros((1, 6, 1)), [1.0], 3)
     with pytest.raises(ValueError):
         export_csv(mono, path, 0.1)
+    # s = 1 has no acceleration to export.
+    linear = PiecewisePolynomial(np.ones((2, 2, 3)), [1.0, 1.5], 1)
+    with pytest.raises(ValueError):
+        export_csv(linear, path, 0.1)
+
+
+def test_export_csv_matches_eval_writer(tmp_path):
+    """export_csv reads each row in one derivatives call; the file is byte
+    for byte the one a writer calling eval per order makes."""
+    rng = np.random.default_rng(15)
+    for s in (2, 3, 4):
+        traj = solve_bivp(random_bivp_spec(rng, BivpSpec, s=s, max_segments=6))
+        for dt in (0.05, 0.37, traj.durations[0]):
+            path = tmp_path / "got.csv"
+            export_csv(traj, path, dt)
+            ts = np.arange(0.0, traj.total_duration + 0.5 * dt, dt)
+            ts[-1] = min(ts[-1], traj.total_duration)
+            want = ["t,x,y,z,vx,vy,vz,ax,ay,az\n"]
+            for t in ts:
+                vals = [*traj.eval(t, 0), *traj.eval(t, 1), *traj.eval(t, 2)]
+                want.append(f"{t:.9g}," + ",".join(f"{c:.9g}" for c in vals) + "\n")
+            assert path.read_bytes() == "".join(want).encode()
