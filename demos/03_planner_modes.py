@@ -10,7 +10,6 @@ from quadplan import (
     GoalRegion,
     ObstacleSpec,
     PlannerConfig,
-    filter_region,
     oracle_region,
     plan,
     random_cluttered_map,
@@ -22,9 +21,9 @@ grid = random_cluttered_map(
 )
 start = grid.index_to_world((1, 1, 1))
 goal = GoalRegion(grid.index_to_world((23, 23, 23)), radius=2.0)
-region = filter_region(
-    oracle_region(grid, (1, 1, 1), (23, 23, 23)), grid, (1, 1, 1), (23, 23, 23)
-)
+# The oracle's region is already binary, obstacle-free and connected, so it
+# needs no filter_region pass (a predicted region would).
+region = oracle_region(grid, (1, 1, 1), (23, 23, 23))
 
 print(f"{'mode':<10} {'init iter':>9} {'init cost':>9} {'final cost':>10} "
       f"{'nodes':>6}")

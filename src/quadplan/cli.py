@@ -11,7 +11,7 @@ from . import bench as bench_mod
 from .grid import GoalRegion, ObstacleSpec, load_grid, random_cluttered_map, save_grid
 from .pipeline import PipelineConfig, plan_trajectory
 from .planner import PlannerConfig, save_path
-from .regions import filter_region, load_region, oracle_region, save_region
+from .regions import load_region, oracle_region, save_region
 from .trajectory import control_effort, export_csv, load_trajectory, save_trajectory
 
 
@@ -71,7 +71,6 @@ def _build_parser() -> argparse.ArgumentParser:
     r.add_argument("--map", required=True)
     r.add_argument("--start", required=True, type=lambda s: _triple(s, int))
     r.add_argument("--goal", required=True, type=lambda s: _triple(s, int))
-    r.add_argument("--no-filter", action="store_true")
     r.add_argument("--out", required=True)
 
     t = sub.add_parser("traj-export", help="sample a trajectory file to CSV")
@@ -153,8 +152,6 @@ def _cmd_genmap(args) -> int:
 def _cmd_region(args) -> int:
     grid = load_grid(args.map)
     region = oracle_region(grid, args.start, args.goal)
-    if not args.no_filter:
-        region = filter_region(region, grid, args.start, args.goal)
     save_region(region, args.out)
     print(f"wrote {args.out}: {int(np.count_nonzero(region.values))} member voxels")
     return 0

@@ -147,11 +147,15 @@ class OccupancyGrid:
 
 
 def segment_voxels(grid: OccupancyGrid, a, b) -> np.ndarray:
-    """Exact set of voxel indices traversed by segment a->b, as an (K,3) int
-    array. Indices may fall outside the grid; callers decide how to treat
-    them. Computed from the sorted face-crossing parameters of the segment,
-    evaluating the containing voxel at each inter-crossing midpoint, which is
-    equivalent to an exact 3D grid walk (no step-size dependence).
+    """Voxel indices traversed by segment a->b, as an (K,3) int array.
+    Indices may fall outside the grid; callers decide how to treat them.
+    Computed from the sorted face-crossing parameters of the segment,
+    evaluating the containing voxel at each inter-crossing midpoint (no
+    step-size dependence). The set is exact up to the rounding of those
+    parameters: where the segment passes through a voxel edge or corner,
+    crossings that are equal in exact arithmetic can round apart, and the
+    result then also lists a voxel the segment only touches (seen at
+    resolution 0.3).
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)

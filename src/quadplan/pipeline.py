@@ -71,8 +71,10 @@ def plan_front_end(
     region: HeuristicRegion | None = None,
 ) -> PlanResult:
     """Front end of the hierarchy: check that start and goal centre lie in
-    free space; in heuristic mode build the region (the given one, else the
-    oracle's) and filter it; then run RRT* toward goal.
+    free space; in heuristic mode filter the given region, or else build the
+    oracle's, which needs no filtering (binary, obstacle-free and one
+    component around the A* path from start to goal); then run RRT* toward
+    goal.
 
     A region passed with a mode that does not sample one is a ValueError.
     """
@@ -88,7 +90,8 @@ def plan_front_end(
     if mode == "heuristic":
         if region is None:
             region = oracle_region(grid, start_voxel, goal_voxel)
-        region = filter_region(region, grid, start_voxel, goal_voxel)
+        else:
+            region = filter_region(region, grid, start_voxel, goal_voxel)
     return plan(grid, start, replace(planner_cfg, goal=goal), mode=mode, region=region)
 
 
@@ -100,8 +103,8 @@ def plan_trajectory(
     mode: str = "heuristic",
     region: HeuristicRegion | None = None,
 ) -> PipelineResult:
-    """Full pipeline: inflation -> front end (region, filter, RRT* in the
-    given mode) -> waypoint pruning -> trapezoidal time allocation -> spline
+    """Full pipeline: inflation -> front end (region, RRT* in the given
+    mode) -> waypoint pruning -> trapezoidal time allocation -> spline
     solve -> collision repair. The returned trajectory passes the exact
     collision checker and reproduces the rest-to-rest boundary flags."""
     planning_grid = inflate(grid, cfg.inflate_radius) if cfg.inflate_radius else grid

@@ -97,15 +97,8 @@ def informed_sample(start, goal, c_best: float, bounds, rng: np.random.Generator
 
 class SearchTree:
     """RRT* tree over world points with parent links, cost-from-start, and
-    child lists for cost propagation after rewiring.
-
-    sq_dists keeps its last scan as (n, copy of the query point, result) and
-    returns that result again while the tree still has n vertices and the
-    query point is equal. Vertices never move, so only add invalidates it.
-    This makes most RRT* iterations one distance pass: plan queries
-    nearest(x_rand), steer returns a copy of x_rand whenever it lies within
-    step of that vertex, and extend_and_rewire's scan from x_new is then
-    served from the kept one.
+    child lists for cost propagation after rewiring. sq_dists scans every
+    vertex on each call; plan hands its scan on to extend_and_rewire.
     """
 
     def __init__(self, root, capacity: int = 1024):
@@ -115,7 +108,6 @@ class SearchTree:
         self.cost = np.zeros(capacity, dtype=float)
         self.children: list[list[int]] = [[]]
         self.n = 1
-        self._scan = (0, None, None)
 
     @property
     def points(self) -> np.ndarray:
@@ -143,19 +135,9 @@ class SearchTree:
         return i
 
     def sq_dists(self, p) -> np.ndarray:
-        """Read-only squared distances from p to every vertex, in index
-        order; repeated queries are served from the last scan (see class
-        docstring)."""
-        p = np.asarray(p, dtype=float)
-        key = p.tolist()
-        n, last_key, d2 = self._scan
-        if n == self.n and key == last_key:
-            return d2
-        diff = self.points - p
-        d2 = np.einsum("ij,ij->i", diff, diff)
-        d2.setflags(write=False)
-        self._scan = (self.n, key, d2)
-        return d2
+        """Squared distances from p to every vertex, in index order."""
+        diff = self.points - np.asarray(p, dtype=float)
+        return np.einsum("ij,ij->i", diff, diff)
 
     def nearest(self, p) -> int:
         return int(np.argmin(self.sq_dists(p)))
@@ -224,19 +206,22 @@ class PlanResult:
     stats: PlanStats
 
 
-def extend_and_rewire(tree: SearchTree, x_new, grid: OccupancyGrid, radius: float) -> int:
+def extend_and_rewire(
+    tree: SearchTree, x_new, grid: OccupancyGrid, radius: float, d2: np.ndarray
+) -> int:
     """RRT* extension: connect x_new to the cost-minimizing collision-free
     neighbor within radius (nearest vertex as fallback), then rewire
     neighbors through x_new whenever that strictly lowers their cost.
 
-    Caller guarantees x_new is collision-free from its nearest vertex.
-    Duplicates of existing vertices (distance < 1e-9) are rejected by
-    returning the existing index. Distances come from tree.sq_dists, which
-    reuses the caller's nearest scan when x_new is the queried point.
+    d2 holds the squared distances from x_new to every vertex, as
+    tree.sq_dists(x_new) returns them; plan passes the scan its nearest
+    query already made, so an iteration scans the tree once unless steer
+    truncates. Caller guarantees x_new is collision-free from its nearest
+    vertex. Duplicates of existing vertices (distance < 1e-9) are rejected
+    by returning the existing index.
     """
     x_new = np.asarray(x_new, dtype=float)
     pts = tree.points
-    d2 = tree.sq_dists(x_new)
     nearest = int(np.argmin(d2))
     d_nearest = math.sqrt(d2[nearest])
     if d_nearest < _DUPLICATE_EPS:
@@ -298,7 +283,7 @@ def plan(
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     start = np.asarray(start, dtype=float)
-    if grid.world_to_index(start) is None or not grid.is_free_world(start):
+    if not grid.is_free_world(start):
         raise ValueError("start must lie in free space")
     if mode == "heuristic":
         if region is None:
@@ -318,7 +303,6 @@ def plan(
     goal_vertices: list[int] = []
     best_cost = math.inf
     stats = PlanStats()
-    nodes = 0
     t0 = time.perf_counter()
 
     for it in range(1, cfg.max_iterations + 1):
@@ -333,20 +317,21 @@ def plan(
         else:
             x_rand = lower + rng.random(3) * span
 
-        nearest = tree.nearest(x_rand)
-        x_near = tree.points[nearest]
+        d2 = tree.sq_dists(x_rand)
+        x_near = tree.points[int(np.argmin(d2))]
         x_new = steer(x_near, x_rand, cfg.step)
         d = x_new - x_near
         if d[0] * d[0] + d[1] * d[1] + d[2] * d[2] < _DUPLICATE_EPS**2:
             continue
-        if not segment_collision_free(grid, tree.points[nearest], x_new):
+        if not segment_collision_free(grid, x_near, x_new):
             continue
+        if x_new.tolist() != x_rand.tolist():
+            d2 = tree.sq_dists(x_new)  # steer truncated toward x_rand
         radius = shrinking_radius(tree.n, cfg.step, gamma)
         before = tree.n
-        idx = extend_and_rewire(tree, x_new, grid, radius)
+        idx = extend_and_rewire(tree, x_new, grid, radius, d2)
         if tree.n == before:
             continue  # duplicate rejected
-        nodes += 1
         if goal.contains(x_new):
             goal_vertices.append(idx)
 
@@ -356,12 +341,12 @@ def plan(
             if not stats.success:
                 stats.success = True
                 stats.initial_iterations = it
-                stats.initial_nodes = nodes
+                stats.initial_nodes = tree.n - 1
                 stats.initial_cost = best_cost
                 stats.initial_time = time.perf_counter() - t0
             if best_cost <= target:
                 stats.optimal_iterations = it
-                stats.optimal_nodes = nodes
+                stats.optimal_nodes = tree.n - 1
                 stats.optimal_time = time.perf_counter() - t0
                 break
 

@@ -483,9 +483,14 @@ def load_trajectory(path) -> PiecewisePolynomial:
 
 
 def export_csv(traj: PiecewisePolynomial, path, dt: float) -> None:
-    """Sampled export: t,x,y,z,vx,vy,vz,ax,ay,az rows at the given step."""
+    """Sampled export: t,x,y,z,vx,vy,vz,ax,ay,az rows at the given step.
+    Bad input raises ValueError before the file is opened."""
     if traj.m != 3:
         raise ValueError("CSV export expects a 3D trajectory")
+    if 2 * traj.s < 3:
+        raise ValueError(f"order s={traj.s} has no acceleration to export")
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"sample step must be positive and finite, got {dt}")
     ts = np.arange(0.0, traj.total_duration + 0.5 * dt, dt)
     ts[-1] = min(ts[-1], traj.total_duration)
     with open(path, "w") as f:

@@ -262,12 +262,12 @@ def reference_astar_path(grid, start, goal, no_path_error):
     raise no_path_error(f"no free 26-connected path from {start} to {goal}")
 
 
-def reference_extend_and_rewire(tree, x_new, grid, radius):
-    """planner.extend_and_rewire as it was before the tree kept its last
-    distance scan: it scans every vertex from x_new itself, so plan's
-    nearest query and this one each pay their own O(n) pass. Must build the
-    identical tree (points, parents, costs) when swapped in for the library
-    function."""
+def reference_extend_and_rewire(tree, x_new, grid, radius, d2):
+    """planner.extend_and_rewire with an independent distance pass: it
+    ignores the caller's d2 and scans every vertex from x_new itself. Must
+    build the identical tree (points, parents, costs) when swapped in for
+    the library function."""
+    del d2
     x_new = np.asarray(x_new, dtype=float)
     pts = tree.points
     diff = pts - x_new

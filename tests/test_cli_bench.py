@@ -20,7 +20,7 @@ from quadplan.cli import main
 from quadplan.grid import GoalRegion, load_grid
 from quadplan.pipeline import PipelineConfig, plan_trajectory
 from quadplan.planner import PlannerConfig
-from quadplan.regions import load_region
+from quadplan.regions import load_region, oracle_region
 from quadplan.trajectory import load_trajectory, save_trajectory
 
 
@@ -191,7 +191,7 @@ def test_cli_plan_region_file_matches_pipeline(tmp_path, capsys):
     map_path = _cli_map(tmp_path)
     region_path = tmp_path / "r.region"
     assert main(["region", "--map", str(map_path), "--start", "1,1,1", "--goal", "10,10,4",
-                 "--no-filter", "--out", str(region_path)]) == 0
+                 "--out", str(region_path)]) == 0
     traj_path = tmp_path / "t.txt"
     rc = main(["plan", "--map", str(map_path), "--region", str(region_path), *_PLAN_ARGS,
                "--out", str(traj_path)])
@@ -217,7 +217,10 @@ def test_cli_region_command(tmp_path, capsys):
                "--goal", "9,9,9", "--out", str(region_path)])
     assert rc == 0
     assert "member voxels" in capsys.readouterr().out
-    assert region_path.exists()
+    assert load_region(region_path) == oracle_region(load_grid(map_path), (0, 0, 0), (9, 9, 9))
+    # The oracle's region is written unfiltered; there is no filter switch.
+    assert main(["region", "--map", str(map_path), "--start", "0,0,0", "--goal", "9,9,9",
+                 "--no-filter", "--out", str(region_path)]) == 2
 
 
 def test_cli_bench_command(tmp_path, capsys):

@@ -17,13 +17,14 @@ from quadplan.pipeline import (
     PipelineConfig,
     PlanningFailure,
     flat_flag_at,
+    plan_front_end,
     plan_trajectory,
     prune_collinear,
     yaw_profile,
     yaw_samples,
 )
-from quadplan.planner import PlannerConfig
-from quadplan.regions import NoPathError
+from quadplan.planner import PlannerConfig, plan
+from quadplan.regions import HeuristicRegion, NoPathError, filter_region, oracle_region
 from quadplan.trajectory import BivpSpec, DomainError, control_effort, solve_bivp
 
 from oracles import reference_eval
@@ -158,6 +159,36 @@ def test_pipeline_failures():
     )
     with pytest.raises(PlanningFailure):
         plan_trajectory(grid, (0.5, 0.5, 0.5), starved.planner.goal, starved)
+
+
+def test_front_end_filters_only_external_regions():
+    """plan_front_end runs on the oracle's region as built and on a filtered
+    copy of a region passed in."""
+    spec = ObstacleSpec(count=(10, 14), size_min=(2, 2, 2), size_max=(3, 3, 4))
+    s_vox, g_vox = (1, 1, 1), (12, 12, 12)
+    grid = random_cluttered_map((14, 14, 14), 1.0, spec, seed=4, keep_free=[s_vox, g_vox])
+    start = grid.index_to_world(s_vox)
+    goal = GoalRegion(grid.index_to_world(g_vox), 1.5)
+    cfg = make_config(goal.center, seed=2).planner
+    cfg.max_iterations = 400
+
+    def tree(result):
+        return result.tree.points.copy(), list(result.tree.parent)
+
+    def same(a, b):
+        return np.array_equal(a[0], b[0]) and a[1] == b[1]
+
+    oracle = oracle_region(grid, s_vox, g_vox)
+    want = tree(plan(grid, start, cfg, "heuristic", oracle))
+    assert same(tree(plan_front_end(grid, start, goal, cfg)), want)
+
+    # A raw prediction: below-threshold haze everywhere, obstacles marked.
+    raw = np.where(grid.occupancy, np.float32(0.9), np.float32(0.3))
+    raw = HeuristicRegion(np.maximum(raw, 0.8 * oracle.values))
+    want = tree(plan(grid, start, cfg, "heuristic", filter_region(raw, grid, s_vox, g_vox)))
+    got = tree(plan_front_end(grid, start, goal, cfg, region=raw))
+    assert same(got, want)
+    assert not same(got, tree(plan(grid, start, cfg, "heuristic", raw)))
 
 
 def test_pipeline_inflation():

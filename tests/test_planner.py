@@ -131,7 +131,8 @@ def test_extend_rewire_shortcut():
     b = tree.add(np.array([5.0, 5.0, 1.0]), a, 8.0)
     assert tree.cost[b] == 8.0
     # New vertex near the root-b diagonal with a large radius.
-    new = extend_and_rewire(tree, np.array([3.0, 3.0, 1.0]), g, radius=10.0)
+    p = np.array([3.0, 3.0, 1.0])
+    new = extend_and_rewire(tree, p, g, 10.0, tree.sq_dists(p))
     check_tree_invariants(tree)
     d_root_new = math.sqrt(8.0)
     assert tree.parent[new] == 0
@@ -146,13 +147,14 @@ def test_extend_rewire_small_radius_and_duplicate():
     tree = SearchTree(np.array([1.0, 1.0, 1.0]))
     tree.add(np.array([4.0, 1.0, 1.0]), 0, 3.0)
     n_before = tree.n
-    idx = extend_and_rewire(tree, np.array([4.0, 2.0, 1.0]), g, radius=1e-6)
+    p = np.array([4.0, 2.0, 1.0])
+    idx = extend_and_rewire(tree, p, g, 1e-6, tree.sq_dists(p))
     assert tree.n == n_before + 1
     assert tree.parent[idx] == 1  # plain nearest-parent extension
     check_tree_invariants(tree)
     # Exact duplicate is rejected: existing index returned, no growth.
     n_before = tree.n
-    assert extend_and_rewire(tree, np.array([4.0, 2.0, 1.0]), g, 1.0) == idx
+    assert extend_and_rewire(tree, p, g, 1.0, tree.sq_dists(p)) == idx
     assert tree.n == n_before
 
 
@@ -165,7 +167,8 @@ def test_extend_rewire_respects_obstacles():
     # Candidate parent on the far side of the wall is blocked; the near side
     # vertex must be chosen even at higher cost-through.
     far = tree.add(np.array([8.0, 5.0, 5.0]), 0, 100.0)
-    new = extend_and_rewire(tree, np.array([4.0, 5.0, 5.0]), g, radius=20.0)
+    p = np.array([4.0, 5.0, 5.0])
+    new = extend_and_rewire(tree, p, g, 20.0, tree.sq_dists(p))
     assert tree.parent[new] == 0
     assert far != new
 
@@ -177,49 +180,35 @@ def test_tree_cost_propagation():
     for _ in range(300):
         p = rng.uniform(0.5, 9.5, 3)
         radius = shrinking_radius(tree.n, 2.0, 10.0)
-        extend_and_rewire(tree, p, g, radius)
+        extend_and_rewire(tree, p, g, radius, tree.sq_dists(p))
     check_tree_invariants(tree)
 
 
 def test_sq_dists_recomputed_after_add():
     tree = SearchTree(np.array([0.0, 0.0, 0.0]))
     p = np.array([1.0, 2.0, 2.0])
-    d2 = tree.sq_dists(p)
-    assert tree.sq_dists(p) is d2  # repeated query: the same scan
-    assert np.array_equal(d2, [9.0])
+    assert np.array_equal(tree.sq_dists(p), [9.0])
     tree.add(np.array([1.0, 2.0, 3.0]), 0, 3.0)
-    d2 = tree.sq_dists(p)
-    assert np.array_equal(d2, [9.0, 1.0])
-    assert tree.nearest(p) == 1
-    with pytest.raises(ValueError):
-        d2[0] = 0.0  # shared between callers, so read-only
-
-
-def test_sq_dists_keeps_a_copy_of_the_query():
-    tree = SearchTree(np.array([0.0, 0.0, 0.0]))
-    tree.add(np.array([4.0, 0.0, 0.0]), 0, 4.0)
-    p = np.array([1.0, 0.0, 0.0])
-    assert tree.nearest(p) == 0
-    p[0] = 3.0  # mutated in place after the call
     assert np.array_equal(tree.sq_dists(p), [9.0, 1.0])
     assert tree.nearest(p) == 1
-    assert np.array_equal(tree.sq_dists([1.0, 0.0, 0.0]), [1.0, 9.0])
 
 
 def test_duplicate_after_nearest_returns_existing_index():
-    """plan's order of calls: nearest(x) leaves x's scan behind, and
-    extend_and_rewire on an equal point (a duplicate of a vertex) reads it
-    and returns the existing index without adding."""
+    """plan's order of calls: one scan from x finds its nearest vertex and
+    is handed to extend_and_rewire, which rejects x as a duplicate of that
+    vertex and returns the existing index without adding."""
     g = empty_grid(10)
     tree = SearchTree(np.array([1.0, 1.0, 1.0]))
     v = tree.add(np.array([3.0, 1.0, 1.0]), 0, 2.0)
     for x in (np.array([3.0, 1.0, 1.0]), np.array([3.0 + 1e-10, 1.0, 1.0])):
-        assert tree.nearest(x) == v
-        assert extend_and_rewire(tree, x.copy(), g, 5.0) == v
+        d2 = tree.sq_dists(x)
+        assert int(np.argmin(d2)) == v
+        assert extend_and_rewire(tree, x, g, 5.0, d2) == v
         assert tree.n == 2
-    # Once a vertex is added, the next query scans the new tree.
-    w = extend_and_rewire(tree, np.array([5.0, 1.0, 1.0]), g, 5.0)
-    assert w == 2 and tree.nearest(np.array([5.0, 1.0, 1.0])) == w
+    # Once a vertex is added, the next scan covers the new tree.
+    x = np.array([5.0, 1.0, 1.0])
+    w = extend_and_rewire(tree, x, g, 5.0, tree.sq_dists(x))
+    assert w == 2 and tree.nearest(x) == w
 
 
 def _identity_cases():
@@ -253,9 +242,10 @@ def _tree_state(result):
 
 
 def test_plan_trees_match_reference_extend(monkeypatch):
-    """With the tree's kept scan, plan and extend_and_rewire share one
-    distance pass per iteration; swapping in the two-scan reference
-    extension must leave every tree, cost and statistic unchanged."""
+    """plan hands its nearest scan to extend_and_rewire and rescans only
+    when steer truncates; swapping in the reference extension, which
+    ignores the scan it is given and makes its own from x_new, must leave
+    every tree, cost and statistic unchanged."""
     cases = _identity_cases()
     assert len(cases) >= 20
     solved = {"uniform": 0, "informed": 0, "heuristic": 0}

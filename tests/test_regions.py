@@ -226,15 +226,20 @@ def test_dilate_path_counts():
 
 
 def test_oracle_region_properties():
+    """The oracle's region is connected, safe and a fixed point of
+    filter_region, so the front end uses it without filtering."""
     spec = ObstacleSpec(count=(8, 12), size_min=(1, 1, 1), size_max=(3, 3, 3))
-    for seed in range(5):
+    s, g = (0, 0, 0), (11, 11, 11)
+    for seed in range(10):
+        res, origin = (0.5, (-1.25, 0.75, 2.0)) if seed % 2 else (1.0, (0.0, 0.0, 0.0))
         grid = random_cluttered_map(
-            (12, 12, 12), 1.0, spec, seed=seed, keep_free=[(0, 0, 0), (11, 11, 11)]
+            (12, 12, 12), res, spec, seed=seed, origin=origin, keep_free=[s, g]
         )
-        region = oracle_region(grid, (0, 0, 0), (11, 11, 11))
-        assert is_connected(region, (0, 0, 0), (11, 11, 11))
+        region = oracle_region(grid, s, g)
+        assert is_connected(region, s, g)
         assert is_safe(region, grid)
         assert not np.any(region.mask & grid.occupancy)
+        assert filter_region(region, grid, s, g) == region
 
 
 # ------------------------------------------------------------------- filtering

@@ -547,13 +547,15 @@ def test_export_csv(tmp_path):
     assert last[1:4] == pytest.approx([1.0, 1.0, 1.0], abs=1e-9)
     assert last[4:] == pytest.approx([0.0] * 6, abs=1e-9)
 
+    # Bad input fails before the file is opened: no header-only CSV is left.
     mono = PiecewisePolynomial(np.zeros((1, 6, 1)), [1.0], 3)
-    with pytest.raises(ValueError):
-        export_csv(mono, path, 0.1)
-    # s = 1 has no acceleration to export.
-    linear = PiecewisePolynomial(np.ones((2, 2, 3)), [1.0, 1.5], 1)
-    with pytest.raises(ValueError):
-        export_csv(linear, path, 0.1)
+    linear = PiecewisePolynomial(np.ones((2, 2, 3)), [1.0, 1.5], 1)  # no acceleration
+    bad_path = tmp_path / "bad.csv"
+    for bad, dt in ((mono, 0.1), (linear, 0.1), (traj, 0.0), (traj, -0.1),
+                    (traj, math.nan), (traj, math.inf)):
+        with pytest.raises(ValueError):
+            export_csv(bad, bad_path, dt)
+        assert not bad_path.exists(), dt
 
 
 def test_export_csv_matches_eval_writer(tmp_path):
