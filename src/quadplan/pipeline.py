@@ -76,10 +76,9 @@ def plan_front_end(
     component around the A* path from start to goal); then run RRT* toward
     goal.
 
-    A region passed with a mode that does not sample one is a ValueError.
+    A region passed with a mode that does not sample one is a ValueError
+    from plan.
     """
-    if region is not None and mode != "heuristic":
-        raise ValueError(f"a region is only used in heuristic mode, not {mode!r}")
     start = np.asarray(start, dtype=float)
     start_voxel = grid.world_to_index(start)
     goal_voxel = grid.world_to_index(goal.center)

@@ -14,6 +14,8 @@ from .grid import GoalRegion, OccupancyGrid, segment_collision_free
 from .regions import HeuristicRegion, RegionSampler
 
 _DUPLICATE_EPS = 1e-9
+# Doubles drawn per generator call in uniform and heuristic modes.
+_DRAW_BLOCK = 1024
 
 MODES = ("uniform", "informed", "heuristic")
 
@@ -42,16 +44,25 @@ def shrinking_radius(n: int, step: float, gamma_rrt: float, m: int = 3) -> float
     return min(step, gamma_rrt * (math.log(n) / n) ** (1.0 / m))
 
 
+def _steer(nx, ny, nz, rx, ry, rz, step: float):
+    """Scalar core of steer: (x, y, z, truncated). Returns the sample itself,
+    truncated=False, when it lies within step of the near point."""
+    dx = rx - nx
+    dy = ry - ny
+    dz = rz - nz
+    dist = math.sqrt(dx * dx + dy * dy + dz * dz)
+    if dist <= step:
+        return rx, ry, rz, False
+    f = step / dist
+    return nx + f * dx, ny + f * dy, nz + f * dz, True
+
+
 def steer(x_near, x_rand, step: float) -> np.ndarray:
     """x_rand if within step of x_near, else the point at distance step
     from x_near toward x_rand."""
-    x_near = np.asarray(x_near, dtype=float)
-    x_rand = np.asarray(x_rand, dtype=float)
-    d = x_rand - x_near
-    dist = math.sqrt(d[0] * d[0] + d[1] * d[1] + d[2] * d[2])
-    if dist <= step:
-        return x_rand.copy()
-    return x_near + (step / dist) * d
+    x_near = np.asarray(x_near, dtype=float).tolist()
+    x_rand = np.asarray(x_rand, dtype=float).tolist()
+    return np.array(_steer(*x_near, *x_rand, step)[:3])
 
 
 def informed_sample(start, goal, c_best: float, bounds, rng: np.random.Generator) -> np.ndarray:
@@ -99,6 +110,10 @@ class SearchTree:
     """RRT* tree over world points with parent links, cost-from-start, and
     child lists for cost propagation after rewiring. sq_dists scans every
     vertex on each call; plan hands its scan on to extend_and_rewire.
+
+    rewires counts set_parent calls. Costs change nowhere else once a vertex
+    is added, so a caller that saw the count unchanged knows every cost is
+    as it last read it.
     """
 
     def __init__(self, root, capacity: int = 1024):
@@ -108,6 +123,7 @@ class SearchTree:
         self.cost = np.zeros(capacity, dtype=float)
         self.children: list[list[int]] = [[]]
         self.n = 1
+        self.rewires = 0
 
     @property
     def points(self) -> np.ndarray:
@@ -145,6 +161,7 @@ class SearchTree:
     def set_parent(self, v: int, new_parent: int, new_cost: float) -> None:
         """Rewire v under new_parent and propagate the cost change to all
         descendants so cost[u] == cost[parent[u]] + ||u - parent[u]|| holds."""
+        self.rewires += 1
         self.children[self.parent[v]].remove(v)
         self.parent[v] = new_parent
         self.children[new_parent].append(v)
@@ -177,10 +194,19 @@ class PlannerConfig:
     def __post_init__(self):
         if not (0.0 <= self.mu1 <= 1.0 and 0.0 <= self.mu2 <= 1.0):
             raise ValueError("mu1, mu2 must lie in [0, 1]")
-        if not self.step > 0:
-            raise ValueError("step must be positive")
+        if not (self.step > 0 and math.isfinite(self.step)):
+            raise ValueError("step must be positive and finite")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
+        # gamma 0 makes the rewire radius 0 (plain RRT), a negative one lets
+        # |r| bound the near set uncapped by step, and NaN makes it step. A
+        # NaN target never compares <= to a cost, so refinement never stops.
+        if self.gamma_rrt is not None and not (
+            self.gamma_rrt > 0 and math.isfinite(self.gamma_rrt)
+        ):
+            raise ValueError("gamma_rrt must be positive and finite")
+        if self.target_cost is not None and math.isnan(self.target_cost):
+            raise ValueError("target_cost must not be NaN")
 
 
 @dataclass
@@ -222,11 +248,11 @@ def extend_and_rewire(
     """
     x_new = np.asarray(x_new, dtype=float)
     pts = tree.points
-    nearest = int(np.argmin(d2))
+    nearest = int(d2.argmin())
     d_nearest = math.sqrt(d2[nearest])
     if d_nearest < _DUPLICATE_EPS:
         return nearest
-    near = np.flatnonzero(d2 <= radius * radius)
+    near = (d2 <= radius * radius).nonzero()[0]
     dists = np.sqrt(d2[near])
     near_costs = tree.cost[near]
 
@@ -234,7 +260,7 @@ def extend_and_rewire(
     best_cost = tree.cost[nearest] + d_nearest
     if len(near):
         through = near_costs + dists
-        for k in np.argsort(through):
+        for k in through.argsort():
             if through[k] >= best_cost:
                 break
             v = int(near[k])
@@ -244,7 +270,7 @@ def extend_and_rewire(
     new_idx = tree.add(x_new, parent, best_cost)
 
     if len(near):
-        improvable = np.flatnonzero(best_cost + dists < near_costs - 1e-12)
+        improvable = (best_cost + dists < near_costs - 1e-12).nonzero()[0]
         for k in improvable:
             v = int(near[k])
             if v == parent:
@@ -275,80 +301,117 @@ def plan(
       heuristic - draws from the region with probability mu2 before the first
                   goal connection and mu1 after, uniform otherwise.
 
+    A region is required in heuristic mode and a ValueError in the others.
+
+    Uniform and heuristic modes draw their doubles from the generator in
+    blocks and use them in the order per-call draws would: three per uniform
+    sample; in heuristic mode one for the region test, then a voxel pick and
+    three offsets, or three uniform ones. On PCG64 consecutive draws equal
+    one larger draw, so the trees are those of per-call drawing, bit for bit.
+    Informed mode keeps per-call draws: after its first solution it also
+    calls rng.normal, whose stream a block drawn ahead would shift.
+
     Iteration continues after the first solution until the best cost drops to
     cfg.target_cost (default: 1.05x the straight-line start-goal distance) or
-    iterations run out. A run that never reaches the goal region returns
-    success=False with path=None.
+    iterations run out. The best goal vertex is recomputed only when a goal
+    vertex is added or a rewire changed costs. A run that never reaches the
+    goal region returns success=False with path=None.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
+    if region is not None and mode != "heuristic":
+        raise ValueError(f"a region is only used in heuristic mode, not {mode!r}")
     start = np.asarray(start, dtype=float)
     if not grid.is_free_world(start):
         raise ValueError("start must lie in free space")
-    if mode == "heuristic":
+    heuristic = mode == "heuristic"
+    if heuristic:
         if region is None:
             raise ValueError("heuristic mode requires a region")
-        region_sampler = RegionSampler(region, grid.origin, grid.resolution)
+        region_point = RegionSampler(region, grid.origin, grid.resolution).point
     goal = cfg.goal
     straight = float(np.linalg.norm(goal.center - start))
     target = cfg.target_cost if cfg.target_cost is not None else 1.05 * straight
     gamma = cfg.gamma_rrt
     if gamma is None:
         gamma = 1.01 * rewire_radius_bound(3, grid.free_measure())
+    step = cfg.step
     lower, upper = grid.lower, grid.upper
     span = upper - lower
+    lx, ly, lz = lower.tolist()
+    sx, sy, sz = span.tolist()
     rng = np.random.default_rng(cfg.rng_seed)
+    draws: list[float] = []
+    pos = 0
 
     tree = SearchTree(start)
     goal_vertices: list[int] = []
     best_cost = math.inf
+    rewires = 0
     stats = PlanStats()
     t0 = time.perf_counter()
 
     for it in range(1, cfg.max_iterations + 1):
-        if mode == "heuristic":
-            mu = cfg.mu1 if stats.success else cfg.mu2
-            if rng.random() < mu:
-                x_rand = region_sampler.sample(rng)
+        if mode == "informed":
+            if stats.success:
+                x_rand = informed_sample(start, tree.points[best], best_cost, (lower, upper), rng)
             else:
                 x_rand = lower + rng.random(3) * span
-        elif mode == "informed" and stats.success:
-            x_rand = informed_sample(start, tree.points[best], best_cost, (lower, upper), rng)
+            rx, ry, rz = x_rand.tolist()
         else:
-            x_rand = lower + rng.random(3) * span
+            if pos > len(draws) - 5:  # an iteration takes at most five
+                draws = draws[pos:] + rng.random(_DRAW_BLOCK).tolist()
+                pos = 0
+            in_region = False
+            if heuristic:
+                in_region = draws[pos] < (cfg.mu1 if stats.success else cfg.mu2)
+                pos += 1
+            if in_region:
+                rx, ry, rz = region_point(*draws[pos : pos + 4])
+                pos += 4
+            else:
+                rx = lx + draws[pos] * sx
+                ry = ly + draws[pos + 1] * sy
+                rz = lz + draws[pos + 2] * sz
+                pos += 3
 
-        d2 = tree.sq_dists(x_rand)
-        x_near = tree.points[int(np.argmin(d2))]
-        x_new = steer(x_near, x_rand, cfg.step)
-        d = x_new - x_near
-        if d[0] * d[0] + d[1] * d[1] + d[2] * d[2] < _DUPLICATE_EPS**2:
+        d2 = tree.sq_dists((rx, ry, rz))
+        nx, ny, nz = tree._pts[int(d2.argmin())].tolist()
+        xx, xy, xz, truncated = _steer(nx, ny, nz, rx, ry, rz, step)
+        dx = xx - nx
+        dy = xy - ny
+        dz = xz - nz
+        if dx * dx + dy * dy + dz * dz < _DUPLICATE_EPS**2:
             continue
-        if not segment_collision_free(grid, x_near, x_new):
+        x_new = (xx, xy, xz)
+        if not segment_collision_free(grid, (nx, ny, nz), x_new):
             continue
-        if x_new.tolist() != x_rand.tolist():
-            d2 = tree.sq_dists(x_new)  # steer truncated toward x_rand
-        radius = shrinking_radius(tree.n, cfg.step, gamma)
+        if truncated:
+            d2 = tree.sq_dists(x_new)
+        radius = shrinking_radius(tree.n, step, gamma)
         before = tree.n
         idx = extend_and_rewire(tree, x_new, grid, radius, d2)
         if tree.n == before:
             continue  # duplicate rejected
         if goal.contains(x_new):
             goal_vertices.append(idx)
+        elif not goal_vertices or tree.rewires == rewires:
+            continue  # no goal vertex cost has changed
 
-        if goal_vertices:
-            best = goal_vertices[int(np.argmin(tree.cost[goal_vertices]))]
-            best_cost = float(tree.cost[best])
-            if not stats.success:
-                stats.success = True
-                stats.initial_iterations = it
-                stats.initial_nodes = tree.n - 1
-                stats.initial_cost = best_cost
-                stats.initial_time = time.perf_counter() - t0
-            if best_cost <= target:
-                stats.optimal_iterations = it
-                stats.optimal_nodes = tree.n - 1
-                stats.optimal_time = time.perf_counter() - t0
-                break
+        rewires = tree.rewires
+        best = goal_vertices[int(tree.cost[goal_vertices].argmin())]
+        best_cost = float(tree.cost[best])
+        if not stats.success:
+            stats.success = True
+            stats.initial_iterations = it
+            stats.initial_nodes = tree.n - 1
+            stats.initial_cost = best_cost
+            stats.initial_time = time.perf_counter() - t0
+        if best_cost <= target:
+            stats.optimal_iterations = it
+            stats.optimal_nodes = tree.n - 1
+            stats.optimal_time = time.perf_counter() - t0
+            break
 
     if not goal_vertices:
         return PlanResult(tree, None, math.inf, stats)

@@ -8,6 +8,7 @@ connectivity/safety penalty metrics, and value-weighted sampling.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import itertools
 import math
@@ -286,6 +287,7 @@ class RegionSampler:
     proportional to its value, then a uniform point inside that voxel.
 
     Cumulative weights are built once, so each draw is one O(log K) search.
+    point maps four uniform doubles to a world point; sample draws them.
     """
 
     def __init__(self, region: HeuristicRegion, origin=(0.0, 0.0, 0.0), resolution: float = 1.0):
@@ -293,15 +295,23 @@ class RegionSampler:
         if len(idx) == 0:
             raise EmptyRegionError("cannot sample from an empty region")
         w = region.values[idx[:, 0], idx[:, 1], idx[:, 2]].astype(float)
-        self._idx = idx
-        self._cum = np.cumsum(w / w.sum())
-        self._origin = np.asarray(origin, dtype=float)
-        self._res = resolution
+        self._idx = idx.tolist()
+        self._cum = np.cumsum(w / w.sum()).tolist()
+        self._origin = np.asarray(origin, dtype=float).tolist()
+        self._res = float(resolution)
+
+    def point(self, u: float, a: float, b: float, c: float) -> tuple[float, float, float]:
+        """The voxel whose cumulative-weight interval holds u, offset by
+        (a, b, c) voxel sides from its lower corner."""
+        k = min(bisect.bisect_right(self._cum, u), len(self._idx) - 1)
+        i, j, l = self._idx[k]
+        ox, oy, oz = self._origin
+        res = self._res
+        return ox + (i + a) * res, oy + (j + b) * res, oz + (l + c) * res
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
-        k = int(np.searchsorted(self._cum, rng.random(), side="right"))
-        k = min(k, len(self._idx) - 1)
-        return self._origin + (self._idx[k] + rng.random(3)) * self._res
+        u = rng.random()
+        return np.array(self.point(u, *rng.random(3).tolist()))
 
 
 def save_region(region: HeuristicRegion, path) -> None:

@@ -8,10 +8,19 @@ import functools
 import heapq
 import itertools
 import math
+import time
 
 import numpy as np
 
 from quadplan.grid import segment_collision_free
+from quadplan.planner import (
+    PlanResult,
+    PlanStats,
+    SearchTree,
+    informed_sample,
+    rewire_radius_bound,
+    shrinking_radius,
+)
 from quadplan.trajectory import BandedSystem
 
 
@@ -305,3 +314,105 @@ def reference_extend_and_rewire(tree, x_new, grid, radius, d2):
             ):
                 tree.set_parent(v, new_idx, c_through)
     return new_idx
+
+
+def reference_steer(x_near, x_rand, step):
+    """planner.steer as array arithmetic on 3-vectors."""
+    x_near = np.asarray(x_near, dtype=float)
+    x_rand = np.asarray(x_rand, dtype=float)
+    d = x_rand - x_near
+    dist = math.sqrt(d[0] * d[0] + d[1] * d[1] + d[2] * d[2])
+    if dist <= step:
+        return x_rand.copy()
+    return x_near + (step / dist) * d
+
+
+class ReferenceRegionSampler:
+    """regions.RegionSampler as array arithmetic: searchsorted on an array of
+    cumulative weights, then one vector offset inside the voxel."""
+
+    def __init__(self, region, origin=(0.0, 0.0, 0.0), resolution=1.0):
+        idx = region.member_indices()
+        w = region.values[idx[:, 0], idx[:, 1], idx[:, 2]].astype(float)
+        self._idx = idx
+        self._cum = np.cumsum(w / w.sum())
+        self._origin = np.asarray(origin, dtype=float)
+        self._res = resolution
+
+    def sample(self, rng):
+        k = int(np.searchsorted(self._cum, rng.random(), side="right"))
+        k = min(k, len(self._idx) - 1)
+        return self._origin + (self._idx[k] + rng.random(3)) * self._res
+
+
+def reference_plan(grid, start, cfg, mode="uniform", region=None):
+    """planner.plan drawing from the generator once per sample in every
+    mode, steering with reference_steer, extending with
+    reference_extend_and_rewire and recomputing the best goal vertex after
+    every vertex added. Must build the identical tree, path, cost and
+    statistics for the same inputs."""
+    start = np.asarray(start, dtype=float)
+    if mode == "heuristic":
+        region_sampler = ReferenceRegionSampler(region, grid.origin, grid.resolution)
+    goal = cfg.goal
+    straight = float(np.linalg.norm(goal.center - start))
+    target = cfg.target_cost if cfg.target_cost is not None else 1.05 * straight
+    gamma = cfg.gamma_rrt
+    if gamma is None:
+        gamma = 1.01 * rewire_radius_bound(3, grid.free_measure())
+    lower, upper = grid.lower, grid.upper
+    span = upper - lower
+    rng = np.random.default_rng(cfg.rng_seed)
+
+    tree = SearchTree(start)
+    goal_vertices = []
+    best_cost = math.inf
+    stats = PlanStats()
+    t0 = time.perf_counter()
+
+    for it in range(1, cfg.max_iterations + 1):
+        if mode == "heuristic":
+            mu = cfg.mu1 if stats.success else cfg.mu2
+            if rng.random() < mu:
+                x_rand = region_sampler.sample(rng)
+            else:
+                x_rand = lower + rng.random(3) * span
+        elif mode == "informed" and stats.success:
+            x_rand = informed_sample(start, tree.points[best], best_cost, (lower, upper), rng)
+        else:
+            x_rand = lower + rng.random(3) * span
+
+        d2 = tree.sq_dists(x_rand)
+        x_near = tree.points[int(np.argmin(d2))]
+        x_new = reference_steer(x_near, x_rand, cfg.step)
+        d = x_new - x_near
+        if d[0] * d[0] + d[1] * d[1] + d[2] * d[2] < 1e-9**2:
+            continue
+        if not segment_collision_free(grid, x_near, x_new):
+            continue
+        radius = shrinking_radius(tree.n, cfg.step, gamma)
+        before = tree.n
+        idx = reference_extend_and_rewire(tree, x_new, grid, radius, None)
+        if tree.n == before:
+            continue
+        if goal.contains(x_new):
+            goal_vertices.append(idx)
+
+        if goal_vertices:
+            best = goal_vertices[int(np.argmin(tree.cost[goal_vertices]))]
+            best_cost = float(tree.cost[best])
+            if not stats.success:
+                stats.success = True
+                stats.initial_iterations = it
+                stats.initial_nodes = tree.n - 1
+                stats.initial_cost = best_cost
+                stats.initial_time = time.perf_counter() - t0
+            if best_cost <= target:
+                stats.optimal_iterations = it
+                stats.optimal_nodes = tree.n - 1
+                stats.optimal_time = time.perf_counter() - t0
+                break
+
+    if not goal_vertices:
+        return PlanResult(tree, None, math.inf, stats)
+    return PlanResult(tree, tree.path_to(best), best_cost, stats)

@@ -28,7 +28,7 @@ from quadplan.planner import (
 )
 from quadplan.regions import filter_region, oracle_region
 
-from oracles import reference_extend_and_rewire
+from oracles import reference_extend_and_rewire, reference_plan, reference_steer
 
 
 def empty_grid(side=10, resolution=1.0):
@@ -84,6 +84,25 @@ def test_steer():
     assert np.allclose(steer((0, 0, 0), (0.3, 0.4, 0.0), 1.0), (0.3, 0.4, 0.0))
     assert np.allclose(steer((0, 0, 0), (2, 0, 0), 1.0), (1, 0, 0))
     assert np.allclose(steer((1, 1, 1), (1, 1, 1), 1.0), (1, 1, 1))
+
+
+def test_steer_bit_exact_against_reference():
+    rng = np.random.default_rng(8)
+    cases = []
+    for _ in range(2000):
+        a = rng.uniform(-20.0, 20.0, 3)
+        b = a + rng.normal(size=3) * rng.choice([1e-6, 0.1, 1.0, 10.0])
+        cases.append((a, b, float(rng.uniform(0.1, 5.0))))
+    for a, b, _ in cases[:200]:
+        d = b - a
+        # Exactly at the step: the sample itself comes back.
+        cases.append((a, b, math.sqrt(d[0] * d[0] + d[1] * d[1] + d[2] * d[2])))
+        cases.append((a, a.copy(), 1.0))  # zero length
+    for a, b, step in cases:
+        got = steer(a, b, step)
+        want = reference_steer(a, b, step)
+        assert isinstance(got, np.ndarray) and got.shape == (3,)
+        assert got.tolist() == want.tolist(), (a, b, step)
 
 
 # ------------------------------------------------------------- informed sample
@@ -184,6 +203,37 @@ def test_tree_cost_propagation():
     check_tree_invariants(tree)
 
 
+def test_pcg64_block_draws_equal_per_call_draws():
+    """plan's block draws rest on this: on PCG64 any interleaving of
+    random() and random(3) yields the doubles of one random(k) call, and a
+    block split anywhere continues the same stream."""
+    pattern = np.random.default_rng(5).integers(0, 2, 500)
+    per_call = np.random.default_rng(9)
+    got = []
+    for three in pattern:
+        got.extend(per_call.random(3).tolist() if three else [per_call.random()])
+    assert got == np.random.default_rng(9).random(len(got)).tolist()
+    blocks = np.random.default_rng(9)
+    split = blocks.random(7).tolist() + blocks.random(len(got) - 7).tolist()
+    assert split == got
+
+
+def test_tree_rewires_counts_set_parent(monkeypatch):
+    calls = []
+    set_parent = SearchTree.set_parent
+
+    def counted(self, *args):
+        calls.append(self)
+        set_parent(self, *args)
+
+    monkeypatch.setattr(SearchTree, "set_parent", counted)
+    cfg = PlannerConfig(step=2.0, goal=goal_at((8.5, 8.5, 8.5)), max_iterations=1500,
+                        target_cost=0.0, rng_seed=3)
+    tree = plan(empty_grid(10), (1.5, 1.5, 1.5), cfg).tree
+    assert tree.rewires == len(calls) > 0
+    assert SearchTree((0.0, 0.0, 0.0)).rewires == 0
+
+
 def test_sq_dists_recomputed_after_add():
     tree = SearchTree(np.array([0.0, 0.0, 0.0]))
     p = np.array([1.0, 2.0, 2.0])
@@ -268,6 +318,37 @@ def test_plan_trees_match_reference_extend(monkeypatch):
             solved[mode] += got[3]["success"]
     # Most runs reach the goal, so informed sampling and refinement run too.
     assert min(solved.values()) >= 10, solved
+
+
+def _result_state(result):
+    return (*_tree_state(result), result.cost,
+            None if result.path is None else result.path.tolist())
+
+
+def test_plan_trees_match_reference_plan():
+    """plan's block-drawn samples, scalar steer and best-goal update only
+    after a goal vertex is added or a rewire, against the per-call loop in
+    reference_plan: every tree, path, cost and statistic is the same, in all
+    three modes, with refinement to the end (target 0) and with the default
+    target that stops it early."""
+    solved = {"uniform": 0, "informed": 0, "heuristic": 0}
+    for n, (grid, s_vox, g_vox, step) in enumerate(_identity_cases()):
+        start = grid.index_to_world(s_vox)
+        goal = goal_at(grid.index_to_world(g_vox), 1.5 * step)
+        region = filter_region(oracle_region(grid, s_vox, g_vox), grid, s_vox, g_vox)
+        for mode in solved:
+            for target in (0.0, None):
+                cfg = PlannerConfig(step=step, goal=goal, max_iterations=600,
+                                    target_cost=target, rng_seed=n)
+                kwargs = {"mode": mode, "region": region if mode == "heuristic" else None}
+                want = _result_state(reference_plan(grid, start, cfg, **kwargs))
+                got = _result_state(plan(grid, start, cfg, **kwargs))
+                assert np.array_equal(got[0], want[0]), (n, mode, target)
+                assert got[1] == want[1], (n, mode, target)
+                assert np.array_equal(got[2], want[2]), (n, mode, target)
+                assert got[3:] == want[3:], (n, mode, target)
+                solved[mode] += got[3]["success"]
+    assert min(solved.values()) >= 20, solved
 
 
 # ------------------------------------------------------------------------ plan
@@ -379,6 +460,33 @@ def test_planner_config_validation():
         PlannerConfig(step=1.0, goal=goal, max_iterations=0)
     with pytest.raises(ValueError):
         PlannerConfig(step=1.0, goal=goal, max_iterations=10, mu1=1.5)
+    # A small positive gamma and infinite targets are valid.
+    PlannerConfig(step=1.0, goal=goal, max_iterations=10, gamma_rrt=1e-3, target_cost=-math.inf)
+    PlannerConfig(step=1.0, goal=goal, max_iterations=10, target_cost=math.inf)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("gamma_rrt", -50.0),  # negative radius, then |r| uncapped by step
+    ("gamma_rrt", 0.0),  # radius 0: RRT* silently becomes RRT
+    ("gamma_rrt", math.nan),  # min(step, nan) reads as step
+    ("gamma_rrt", math.inf),
+    ("step", math.inf),
+    ("step", math.nan),
+    ("target_cost", math.nan),  # never compares <=, so refinement never stops
+])
+def test_planner_config_rejects_values_that_break_rrt_star(field, value):
+    kwargs = {"step": 1.0, "goal": goal_at((1, 1, 1)), "max_iterations": 10, field: value}
+    with pytest.raises(ValueError, match=field):
+        PlannerConfig(**kwargs)
+
+
+def test_plan_rejects_region_outside_heuristic_mode():
+    grid = empty_grid(10)
+    region = oracle_region(grid, (1, 1, 1), (8, 8, 8))
+    cfg = PlannerConfig(step=2.0, goal=goal_at((8.5, 8.5, 8.5)), max_iterations=10)
+    for mode in ("uniform", "informed"):
+        with pytest.raises(ValueError, match="only used in heuristic mode"):
+            plan(grid, (1.5, 1.5, 1.5), cfg, mode=mode, region=region)
 
 
 def test_save_path(tmp_path):

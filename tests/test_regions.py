@@ -27,7 +27,7 @@ from quadplan.regions import (
     state_map,
 )
 
-from oracles import reference_astar_path
+from oracles import ReferenceRegionSampler, reference_astar_path
 
 
 def empty_grid(side=8):
@@ -360,6 +360,41 @@ def test_sample_region_weighting():
     sampler = RegionSampler(r)
     hits = sum(sampler.sample(rng)[0] >= 3.0 for _ in range(20_000))
     assert abs(hits / 20_000 - 0.75) < 0.75 * 0.05
+
+
+def test_sample_region_matches_reference_sampler():
+    """sample, and point on the same doubles, give the array formula's
+    points bit for bit, on a weighted region with an offset origin and
+    resolution 0.5, including u on a cumulative-weight boundary."""
+    vals = np.random.default_rng(4).random((6, 7, 5)).astype(np.float32)
+    vals[vals < 0.6] = 0.0
+    vals[1, 2, 3] = 1.0
+    region = HeuristicRegion(vals)
+    origin, res = (-1.25, 3.5, 0.75), 0.5
+    sampler = RegionSampler(region, origin, res)
+    ref = ReferenceRegionSampler(region, origin, res)
+    got_rng, want_rng, draws = (np.random.default_rng(2) for _ in range(3))
+    for _ in range(3000):
+        want = ref.sample(want_rng).tolist()
+        assert sampler.sample(got_rng).tolist() == want
+        u, a, b, c = draws.random(4).tolist()
+        assert list(sampler.point(u, a, b, c)) == want
+    cum = ref._cum
+    for u in (0.0, cum[0], cum[5], np.nextafter(cum[5], 0.0), cum[-1], np.nextafter(1.0, 0.0)):
+        draws = [float(u), 0.5, 0.25, 0.75]
+        assert list(sampler.point(*draws)) == ref.sample(_Replay(draws)).tolist()
+
+
+class _Replay:
+    """Stands in for a Generator: hands out the given doubles in order."""
+
+    def __init__(self, values):
+        self._values = iter(values)
+
+    def random(self, size=None):
+        if size is None:
+            return next(self._values)
+        return np.array([next(self._values) for _ in range(size)])
 
 
 def test_sample_region_origin_resolution():
