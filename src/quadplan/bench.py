@@ -7,7 +7,7 @@ import csv
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -23,22 +23,6 @@ from .trajectory import (
     solve_bivp,
     trapezoidal_time_allocation,
 )
-
-_AGG_FIELDS = [
-    "init_iter",
-    "init_nodes",
-    "init_cost",
-    "init_time_ms",
-    "opt_iter",
-    "opt_nodes",
-    "opt_time_ms",
-    "jerk_solve_ms",
-    "snap_solve_ms",
-    "final_cost",
-    "effort",
-]
-
-CSV_COLUMNS = ["map", "mode", "seed", "success", *_AGG_FIELDS]
 
 
 @dataclass
@@ -70,11 +54,15 @@ class TrialRecord:
     effort: float | None = None
 
     def row(self) -> list:
-        vals = [self.map, self.mode, self.seed, int(self.success)]
-        for name in _AGG_FIELDS:
-            v = getattr(self, name)
-            vals.append("" if v is None else v)
-        return vals
+        vals = [getattr(self, name) for name in CSV_COLUMNS]
+        vals[3] = int(self.success)
+        return ["" if v is None else v for v in vals]
+
+
+# The CSV columns are the record's fields in order; the ones after success
+# are aggregated over successful trials.
+CSV_COLUMNS = [f.name for f in fields(TrialRecord)]
+_AGG_FIELDS = CSV_COLUMNS[4:]
 
 
 @dataclass
@@ -129,18 +117,15 @@ def run_trial(
     seed: int,
     step: float = 2.0,
     max_iterations: int = 30000,
-    mu1: float = 0.5,
-    mu2: float = 0.9,
     target_cost: float | None = None,
 ) -> TrialRecord:
     """Single seeded planning run plus back-end solve timings (s=3 and s=4)
-    on the resulting waypoints."""
+    on the resulting waypoints. Region sampling uses PlannerConfig's default
+    mu1 and mu2."""
     cfg = PlannerConfig(
         step=step,
         goal=case.goal,
         max_iterations=max_iterations,
-        mu1=mu1,
-        mu2=mu2,
         target_cost=target_cost,
         rng_seed=seed,
     )

@@ -10,7 +10,7 @@ import numpy as np
 from . import bench as bench_mod
 from .grid import GoalRegion, ObstacleSpec, load_grid, random_cluttered_map, save_grid
 from .pipeline import PipelineConfig, plan_trajectory
-from .planner import PlannerConfig, save_path
+from .planner import MODES, PlannerConfig, save_path
 from .regions import load_region, oracle_region, save_region
 from .trajectory import control_effort, export_csv, load_trajectory, save_trajectory
 
@@ -32,7 +32,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--start", required=True, type=_triple)
     p.add_argument("--goal", required=True, type=_triple)
     p.add_argument("--goal-radius", type=float, default=1.0)
-    p.add_argument("--mode", choices=("uniform", "informed", "heuristic"), default="heuristic")
+    p.add_argument("--mode", choices=MODES, default="heuristic")
     p.add_argument("--mu1", type=float, default=0.5)
     p.add_argument("--mu2", type=float, default=0.9)
     p.add_argument("--step", type=float)

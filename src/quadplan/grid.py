@@ -39,8 +39,8 @@ class GoalRegion:
         center = np.asarray(self.center, dtype=float)
         if center.shape != (3,) or not np.all(np.isfinite(center)):
             raise ValueError("goal center must be a finite 3-vector")
-        if not self.radius > 0:
-            raise ValueError("goal radius must be positive")
+        if not (self.radius > 0 and math.isfinite(self.radius)):
+            raise ValueError("goal radius must be positive and finite")
         object.__setattr__(self, "center", center)
 
     def contains(self, p) -> bool:
@@ -68,8 +68,8 @@ class OccupancyGrid:
         occ = np.ascontiguousarray(self.occupancy, dtype=bool)
         if occ.ndim != 3 or min(occ.shape) < 1:
             raise ValueError("occupancy must be a 3D array with all dims >= 1")
-        if not self.resolution > 0:
-            raise ValueError("resolution must be positive")
+        if not (self.resolution > 0 and math.isfinite(self.resolution)):
+            raise ValueError("resolution must be positive and finite")
         origin = np.asarray(self.origin, dtype=float)
         if origin.shape != (3,) or not np.all(np.isfinite(origin)):
             raise ValueError("origin must be a finite 3-vector")
@@ -77,8 +77,7 @@ class OccupancyGrid:
         object.__setattr__(self, "occupancy", occ)
         object.__setattr__(self, "origin", origin)
         object.__setattr__(self, "resolution", float(self.resolution))
-        object.__setattr__(self, "_has_obstacles", bool(occ.any()))
-        # Plain-float origin for scalar hot paths (planner inner loop).
+        # Plain-float origin for the scalar voxel walk.
         object.__setattr__(self, "_lo", tuple(float(v) for v in origin))
 
     def __eq__(self, other):
@@ -114,18 +113,6 @@ class OccupancyGrid:
     def index_to_world(self, idx) -> np.ndarray:
         """World coordinates of the voxel center."""
         return self.origin + (np.asarray(idx, dtype=float) + 0.5) * self.resolution
-
-    def _point_in_bounds(self, p) -> bool:
-        """Scalar-math bounds check, consistent with world_to_index's floor
-        convention (hot path; avoids small-array numpy overhead)."""
-        lo = self._lo
-        res = self.resolution
-        dims = self.occupancy.shape
-        for ax in range(3):
-            i = math.floor((float(p[ax]) - lo[ax]) / res)
-            if i < 0 or i >= dims[ax]:
-                return False
-        return True
 
     def in_bounds_index(self, idx) -> bool:
         idx = np.asarray(idx)
@@ -178,11 +165,15 @@ def segment_voxels(grid: OccupancyGrid, a, b) -> np.ndarray:
     return np.unique(idx, axis=0)
 
 
-def _segment_free_walk(grid: OccupancyGrid, a, b) -> bool:
-    """Amanatides-Woo style grid walk in scalar math (hot path). Same floor
-    convention as segment_voxels; returns False on the first occupied or
-    out-of-bounds voxel. Unrolled per axis into plain locals: on ties the
-    walk steps x before y before z."""
+def segment_collision_free(grid: OccupancyGrid, a, b) -> bool:
+    """True iff every voxel traversed by segment a->b is in-bounds and free.
+
+    An Amanatides-Woo grid walk in scalar math (the hot path), with the floor
+    convention of world_to_index and segment_voxels: it returns False on the
+    first occupied or out-of-bounds voxel, so on an empty grid (a convex box)
+    the verdict is whether both endpoints lie inside. A NaN or infinite
+    coordinate raises from math.floor. Unrolled per axis into plain locals:
+    on ties the walk steps x before y before z."""
     occ = grid.occupancy
     nx, ny, nz = occ.shape
     lx, ly, lz = grid._lo
@@ -259,20 +250,11 @@ def _segment_free_walk(grid: OccupancyGrid, a, b) -> bool:
     return True
 
 
-def segment_collision_free(grid: OccupancyGrid, a, b) -> bool:
-    """True iff every voxel traversed by segment a->b is in-bounds and free."""
-    if not grid._has_obstacles:
-        # Grid box is convex: with no obstacles the segment is free iff both
-        # endpoints lie inside.
-        return grid._point_in_bounds(a) and grid._point_in_bounds(b)
-    return _segment_free_walk(grid, a, b)
-
-
 def inflate(grid: OccupancyGrid, radius_voxels: int) -> OccupancyGrid:
     """Chebyshev (cube) dilation of the occupied set by radius_voxels."""
     if radius_voxels < 0:
         raise ValueError("radius_voxels must be nonnegative")
-    if radius_voxels == 0 or not grid._has_obstacles:
+    if radius_voxels == 0 or not grid.occupancy.any():
         return grid
     size = 2 * radius_voxels + 1
     occ = ndimage.binary_dilation(grid.occupancy, structure=np.ones((size,) * 3, dtype=bool))
@@ -360,8 +342,8 @@ def load_grid(path) -> OccupancyGrid:
     magic, nx, ny, nz, res, ox, oy, oz = _GRID_HEADER.unpack_from(raw)
     if magic != GRID_MAGIC:
         raise MapFileError(f"bad magic {magic!r}; expected {GRID_MAGIC!r}")
-    if min(nx, ny, nz) < 1 or not res > 0:
-        raise MapFileError("malformed header: nonpositive dims or resolution")
+    if min(nx, ny, nz) < 1:
+        raise MapFileError("malformed header: nonpositive dims")
     ncells = nx * ny * nz
     payload = raw[_GRID_HEADER.size :]
     nbytes = (ncells + 7) // 8
@@ -371,4 +353,7 @@ def load_grid(path) -> OccupancyGrid:
         np.frombuffer(payload[:nbytes], dtype=np.uint8), bitorder="little"
     )[:ncells]
     occ = bits.astype(bool).reshape((nx, ny, nz), order="F")
-    return OccupancyGrid(occ, res, (ox, oy, oz))
+    try:
+        return OccupancyGrid(occ, res, (ox, oy, oz))
+    except ValueError as e:
+        raise MapFileError(f"malformed header: {e}") from e

@@ -21,6 +21,10 @@ from .trajectory import (
 )
 
 
+# prune_collinear merges waypoints that turn by less than 1 degree.
+_COS_COLLINEAR = math.cos(math.radians(1.0))
+
+
 class PlanningFailure(Exception):
     """Front end exhausted its iteration budget without reaching the goal."""
 
@@ -42,13 +46,12 @@ class PipelineResult:
     cost: float
 
 
-def prune_collinear(waypoints: np.ndarray, angle_tol_deg: float = 1.0) -> np.ndarray:
-    """Merge consecutive nearly-collinear waypoints; near-zero segments would
-    otherwise destabilize time allocation."""
+def prune_collinear(waypoints: np.ndarray) -> np.ndarray:
+    """Merge consecutive waypoints whose directions differ by less than 1
+    degree; near-zero segments would otherwise destabilize time allocation."""
     pts = np.asarray(waypoints, dtype=float)
     if len(pts) <= 2:
         return pts
-    cos_tol = math.cos(math.radians(angle_tol_deg))
     keep = [0]
     for i in range(1, len(pts) - 1):
         a = pts[i] - pts[keep[-1]]
@@ -56,7 +59,7 @@ def prune_collinear(waypoints: np.ndarray, angle_tol_deg: float = 1.0) -> np.nda
         na, nb = np.linalg.norm(a), np.linalg.norm(b)
         if na < 1e-9 or nb < 1e-9:
             continue
-        if float(np.dot(a, b) / (na * nb)) < cos_tol:
+        if float(np.dot(a, b) / (na * nb)) < _COS_COLLINEAR:
             keep.append(i)
     keep.append(len(pts) - 1)
     return pts[keep]
@@ -127,28 +130,20 @@ def flat_flag_at(traj: PiecewisePolynomial, t: float, s: int | None = None) -> n
     return np.ascontiguousarray(traj.derivatives(t, s).T)
 
 
-def yaw_profile(
-    traj: PiecewisePolynomial,
-    t: float,
-    mode: str = "velocity",
-    last_yaw: float = 0.0,
-    speed_eps: float = 1e-6,
-) -> float:
-    """Yaw at time t: atan2(vy, vx) in velocity-aligned mode, holding
-    last_yaw when nearly hovering; 0 in mode 'none'."""
-    if mode == "none":
-        return 0.0
+def yaw_profile(traj: PiecewisePolynomial, t: float, last_yaw: float = 0.0) -> float:
+    """Velocity-aligned yaw at time t: atan2(vy, vx), or last_yaw while the
+    horizontal speed is at most 1e-6 (nearly hovering)."""
     v = traj.eval(t, 1)
-    if float(np.hypot(v[0], v[1])) <= speed_eps:
+    if float(np.hypot(v[0], v[1])) <= 1e-6:
         return last_yaw
     return float(math.atan2(v[1], v[0]))
 
 
-def yaw_samples(traj: PiecewisePolynomial, times, mode: str = "velocity") -> np.ndarray:
+def yaw_samples(traj: PiecewisePolynomial, times) -> np.ndarray:
     """Sequential yaw profile over sorted sample times with hold-last fallback."""
     out = np.zeros(len(times))
     last = 0.0
     for i, t in enumerate(times):
-        last = yaw_profile(traj, t, mode=mode, last_yaw=last)
+        last = yaw_profile(traj, t, last_yaw=last)
         out[i] = last
     return out

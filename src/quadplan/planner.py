@@ -5,6 +5,7 @@ heuristic-region-biased sampling, shrinking rewire radius, and two-phase
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -14,6 +15,8 @@ from .grid import GoalRegion, OccupancyGrid, segment_collision_free
 from .regions import HeuristicRegion, RegionSampler
 
 _DUPLICATE_EPS = 1e-9
+# Initial vertex capacity of a SearchTree; it doubles when full.
+_TREE_CAPACITY = 1024
 # Doubles drawn per generator call in uniform and heuristic modes.
 _DRAW_BLOCK = 1024
 
@@ -116,11 +119,11 @@ class SearchTree:
     as it last read it.
     """
 
-    def __init__(self, root, capacity: int = 1024):
-        self._pts = np.empty((capacity, 3), dtype=float)
+    def __init__(self, root):
+        self._pts = np.empty((_TREE_CAPACITY, 3), dtype=float)
         self._pts[0] = np.asarray(root, dtype=float)
         self.parent = [-1]
-        self.cost = np.zeros(capacity, dtype=float)
+        self.cost = np.zeros(_TREE_CAPACITY, dtype=float)
         self.children: list[list[int]] = [[]]
         self.n = 1
         self.rewires = 0
@@ -196,8 +199,9 @@ class PlannerConfig:
             raise ValueError("mu1, mu2 must lie in [0, 1]")
         if not (self.step > 0 and math.isfinite(self.step)):
             raise ValueError("step must be positive and finite")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+        # range() in plan takes only integers: fail here, not there.
+        if not isinstance(self.max_iterations, numbers.Integral) or self.max_iterations < 1:
+            raise ValueError("max_iterations must be an integer >= 1")
         # gamma 0 makes the rewire radius 0 (plain RRT), a negative one lets
         # |r| bound the near set uncapped by step, and NaN makes it step. A
         # NaN target never compares <= to a cost, so refinement never stops.
@@ -316,6 +320,9 @@ def plan(
     iterations run out. The best goal vertex is recomputed only when a goal
     vertex is added or a rewire changed costs. A run that never reaches the
     goal region returns success=False with path=None.
+
+    A sample whose steered point duplicates a vertex (within 1e-9) is
+    rejected by extend_and_rewire alone, and the iteration adds nothing.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
@@ -378,11 +385,6 @@ def plan(
         d2 = tree.sq_dists((rx, ry, rz))
         nx, ny, nz = tree._pts[int(d2.argmin())].tolist()
         xx, xy, xz, truncated = _steer(nx, ny, nz, rx, ry, rz, step)
-        dx = xx - nx
-        dy = xy - ny
-        dz = xz - nz
-        if dx * dx + dy * dy + dz * dz < _DUPLICATE_EPS**2:
-            continue
         x_new = (xx, xy, xz)
         if not segment_collision_free(grid, (nx, ny, nz), x_new):
             continue

@@ -196,22 +196,16 @@ def oracle_region(grid: OccupancyGrid, start, goal) -> HeuristicRegion:
     return HeuristicRegion(vals)
 
 
-def filter_region(
-    region: HeuristicRegion,
-    grid: OccupancyGrid,
-    start,
-    goal,
-    threshold: float = 0.5,
-) -> HeuristicRegion:
+def filter_region(region: HeuristicRegion, grid: OccupancyGrid, start, goal) -> HeuristicRegion:
     """Turn a raw (possibly probabilistic) region into a usable sampling
-    support: binarize at threshold, zero occupied voxels, keep only the
-    26-connected component(s) containing start and/or goal, and force-include
-    the start and goal voxels."""
+    support: binarize at 0.5 (a value of at least 0.5 is a member), zero
+    occupied voxels, keep only the 26-connected component(s) containing
+    start and/or goal, and force-include the start and goal voxels."""
     if region.dims != grid.dims:
         raise ValueError(f"region dims {region.dims} != grid dims {grid.dims}")
     start = tuple(int(c) for c in np.asarray(start))
     goal = tuple(int(c) for c in np.asarray(goal))
-    mask = (region.values >= threshold) & ~grid.occupancy
+    mask = (region.values >= 0.5) & ~grid.occupancy
     labels, n = ndimage.label(mask, structure=_CUBE)
     keep = {labels[start], labels[goal]} - {0}
     if not keep:

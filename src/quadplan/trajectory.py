@@ -139,6 +139,10 @@ class BivpSpec:
         for g in self.intermediate:
             if g.shape[0] != m or not 1 <= g.shape[1] <= self.s:
                 raise ValueError("intermediate condition orders must satisfy 1 <= d_i <= s")
+        # One check over every condition: collision_repair builds a spec per round.
+        conditions = [self.waypoints.T, self.boundary_start, self.boundary_end, *self.intermediate]
+        if not np.isfinite(np.hstack(conditions)).all():
+            raise ValueError("waypoints, boundary flags and intermediate conditions must be finite")
 
     @property
     def M(self) -> int:
@@ -353,8 +357,9 @@ def control_effort(traj: PiecewisePolynomial) -> float:
     s = traj.s
     n = 2 * s
     total = 0.0
-    # gamma^(s)(tau) = sum_{j>=s} c_j * perm(j, s) * tau^(j-s)
-    fac = np.array([math.perm(j, s) for j in range(s, n)], dtype=float)
+    # gamma^(s)(tau) = sum_{j>=s} c_j * perm(j, s) * tau^(j-s); the factors
+    # are row s of the basis table.
+    fac = _basis_table(n, n)[0][s, s:]
     for i in range(traj.M):
         T = traj.durations[i]
         a = traj.coeffs[i, s:, :] * fac[:, None]  # (s, m) scaled coefficients

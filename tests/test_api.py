@@ -1,0 +1,89 @@
+"""Options inventory: the settable values of the public API, pinned.
+
+Every config field and keyword parameter is something a caller can set and
+the library must keep working. A new one has to be added here on purpose,
+and named in CHANGES.md; one that no caller sets should become a constant.
+"""
+
+import dataclasses
+import inspect
+
+import pytest
+
+from quadplan.bench import run_benchmark, run_trial
+from quadplan.pipeline import (
+    PipelineConfig,
+    plan_front_end,
+    plan_trajectory,
+    prune_collinear,
+    yaw_profile,
+    yaw_samples,
+)
+from quadplan.planner import PlannerConfig, SearchTree, plan
+from quadplan.regions import filter_region
+from quadplan.trajectory import collision_repair
+
+REQUIRED = inspect.Parameter.empty
+
+
+def _fields(cls):
+    return [
+        (f.name, REQUIRED if f.default is dataclasses.MISSING else f.default)
+        for f in dataclasses.fields(cls)
+    ]
+
+
+def _params(fn):
+    out = []
+    for p in inspect.signature(fn).parameters.values():
+        name = "**" + p.name if p.kind is p.VAR_KEYWORD else p.name
+        out.append((name, p.default))
+    return out
+
+
+def test_config_fields_are_pinned():
+    assert _fields(PlannerConfig) == [
+        ("step", REQUIRED),
+        ("goal", REQUIRED),
+        ("max_iterations", REQUIRED),
+        ("mu1", 0.5),
+        ("mu2", 0.9),
+        ("target_cost", None),
+        ("gamma_rrt", None),
+        ("rng_seed", 0),
+    ]
+    assert _fields(PipelineConfig) == [
+        ("planner", REQUIRED),
+        ("s", 3),
+        ("v_max", 2.0),
+        ("a_max", 1.0),
+        ("inflate_radius", 0),
+    ]
+
+
+_SIGNATURES = {
+    plan: [("grid", REQUIRED), ("start", REQUIRED), ("cfg", REQUIRED),
+           ("mode", "uniform"), ("region", None)],
+    plan_front_end: [("grid", REQUIRED), ("start", REQUIRED), ("goal", REQUIRED),
+                     ("planner_cfg", REQUIRED), ("mode", "heuristic"), ("region", None)],
+    plan_trajectory: [("grid", REQUIRED), ("start", REQUIRED), ("goal", REQUIRED),
+                      ("cfg", REQUIRED), ("mode", "heuristic"), ("region", None)],
+    prune_collinear: [("waypoints", REQUIRED)],
+    filter_region: [("region", REQUIRED), ("grid", REQUIRED), ("start", REQUIRED),
+                    ("goal", REQUIRED)],
+    yaw_profile: [("traj", REQUIRED), ("t", REQUIRED), ("last_yaw", 0.0)],
+    yaw_samples: [("traj", REQUIRED), ("times", REQUIRED)],
+    SearchTree: [("root", REQUIRED)],
+    run_trial: [("case", REQUIRED), ("mode", REQUIRED), ("seed", REQUIRED), ("step", 2.0),
+                ("max_iterations", 30000), ("target_cost", None)],
+    run_benchmark: [("cases", REQUIRED), ("modes", REQUIRED), ("trials", REQUIRED),
+                    ("seed_base", 0), ("report_path", None), ("workers", 1),
+                    ("**trial_kwargs", REQUIRED)],
+    collision_repair: [("traj", REQUIRED), ("spec", REQUIRED), ("grid", REQUIRED),
+                       ("v_max", REQUIRED), ("a_max", REQUIRED), ("max_rounds", 30)],
+}
+
+
+@pytest.mark.parametrize("fn", list(_SIGNATURES), ids=lambda fn: fn.__name__)
+def test_keyword_parameters_are_pinned(fn):
+    assert _params(fn) == _SIGNATURES[fn]

@@ -87,6 +87,24 @@ def test_run_benchmark_report_equals_trials(tmp_path):
         run_benchmark(cases, ["heuristic"], trials=0)
 
 
+def test_run_benchmark_process_pool_matches_serial():
+    """workers > 1 (quadplan bench --workers) runs the trials in a process
+    pool; the records equal the serial run's apart from wall-clock columns."""
+    cases = paperlike_maps(2, seed=5)
+    kwargs = {"trials": 2, "seed_base": 40, "target_cost": 1e18}
+    modes = ["heuristic", "uniform"]
+    serial = run_benchmark(cases, modes, workers=1, **kwargs).records
+    pooled = run_benchmark(cases, modes, workers=2, **kwargs).records
+    assert len(pooled) == len(serial) == 8
+    assert all(r.success for r in serial)
+    time_cols = [i for i, c in enumerate(CSV_COLUMNS) if c.endswith("_ms")]
+    for a, b in zip(serial, pooled):
+        ra, rb = a.row(), b.row()
+        for i in time_cols:
+            ra[i] = rb[i] = None
+        assert ra == rb
+
+
 def test_aggregate_report_success_rate():
     recs = [
         TrialRecord("m", "uniform", 0, True, init_iter=10, final_cost=5.0),

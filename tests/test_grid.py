@@ -42,6 +42,10 @@ def test_grid_validation():
         OccupancyGrid(np.zeros((4, 4, 4), dtype=bool), 0.0)
     with pytest.raises(ValueError):
         OccupancyGrid(np.zeros((4, 4, 4), dtype=bool), 1.0, origin=(0.0, np.nan, 0.0))
+    # An infinite resolution maps every point to voxel (0, 0, 0).
+    for bad in (np.inf, np.nan, -np.inf):
+        with pytest.raises(ValueError, match="resolution"):
+            OccupancyGrid(np.zeros((4, 4, 4), dtype=bool), bad)
 
 
 def test_grid_immutable():
@@ -58,6 +62,10 @@ def test_goal_region():
         GoalRegion(np.zeros(3), 0.0)
     with pytest.raises(ValueError):
         GoalRegion(np.zeros(2), 1.0)
+    # An infinite radius would put every point in the goal.
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="radius"):
+            GoalRegion(np.zeros(3), bad)
 
 
 # ------------------------------------------------------------------ transforms
@@ -111,6 +119,30 @@ def test_segment_collision_free_examples():
     # Out-of-bounds endpoints count as collision.
     assert not segment_collision_free(g, (-1.0, 5.0, 5.0), (5.0, 5.0, 5.0))
     assert not segment_collision_free(blocked, (-1.0, 5.0, 5.0), (4.0, 5.0, 5.0))
+
+
+@pytest.mark.parametrize("res,origin", [
+    (1.0, (0.0, 0.0, 0.0)), (0.5, (-1.5, 0.25, 2.0)), (0.3, (-1.2, 0.7, 2.1)),
+])
+def test_segment_on_empty_grid_is_free_iff_both_endpoints_inside(res, origin):
+    """The box of an empty grid is convex, so the walk's verdict is whether
+    both endpoints map to a voxel, with world_to_index's floor convention."""
+    g = OccupancyGrid(np.zeros((7, 5, 6), dtype=bool), res, origin)
+    lo, hi = g.lower, g.upper
+    rng = np.random.default_rng(11)
+    span = hi - lo
+    points = [lo + rng.uniform(-0.2, 1.2, 3) * span for _ in range(400)]
+    # Endpoints exactly on the lower faces (inside) and upper faces (outside).
+    for _ in range(100):
+        p = lo + rng.random(3) * span
+        ax = rng.integers(3)
+        p[ax] = lo[ax] if rng.random() < 0.5 else hi[ax]
+        points.append(p)
+    points += [lo.copy(), hi.copy()]
+    for _ in range(1500):
+        a, b = (points[i] for i in rng.integers(len(points), size=2))
+        want = g.world_to_index(a) is not None and g.world_to_index(b) is not None
+        assert segment_collision_free(g, a, b) == want
 
 
 def test_segment_collision_symmetry():
@@ -427,6 +459,20 @@ def test_grid_load_errors(tmp_path):
     path.write_bytes(header + b"\x00" * 4)
     with pytest.raises(MapFileError):
         load_grid(path)
+
+    # Non-positive or non-finite geometry: a MapFileError, not a grid that
+    # maps every point to one voxel or an untyped ValueError.
+    for res, origin in [
+        (np.inf, (0.0, 0.0, 0.0)),
+        (np.nan, (0.0, 0.0, 0.0)),
+        (0.0, (0.0, 0.0, 0.0)),
+        (1.0, (0.0, np.nan, 0.0)),
+        (1.0, (np.inf, 0.0, 0.0)),
+    ]:
+        header = struct.pack("<8s3id3d", b"MNRGRID1", 2, 2, 2, res, *origin)
+        path.write_bytes(header + b"\x00")
+        with pytest.raises(MapFileError):
+            load_grid(path)
 
 
 def test_grid_file_bit_order(tmp_path):

@@ -242,7 +242,6 @@ def test_yaw_profile():
     assert yaw_profile(traj_y, 1.0) == pytest.approx(math.pi / 2)
     # Hover: velocity is zero at t=0; previous yaw held.
     assert yaw_profile(traj_y, 0.0, last_yaw=0.33) == 0.33
-    assert yaw_profile(traj_y, 1.0, mode="none") == 0.0
 
 
 def test_yaw_samples_hold_last():

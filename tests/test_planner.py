@@ -465,6 +465,15 @@ def test_planner_config_validation():
     PlannerConfig(step=1.0, goal=goal, max_iterations=10, target_cost=math.inf)
 
 
+def test_planner_config_accepts_numpy_integer_max_iterations():
+    runs = [
+        plan(empty_grid(10), (1.5, 1.5, 1.5), PlannerConfig(
+            step=2.0, goal=goal_at((8.5, 8.5, 8.5)), max_iterations=n, target_cost=0.0))
+        for n in (np.int64(50), 50)
+    ]
+    assert np.array_equal(runs[0].tree.points, runs[1].tree.points)
+
+
 @pytest.mark.parametrize("field, value", [
     ("gamma_rrt", -50.0),  # negative radius, then |r| uncapped by step
     ("gamma_rrt", 0.0),  # radius 0: RRT* silently becomes RRT
@@ -473,6 +482,8 @@ def test_planner_config_validation():
     ("step", math.inf),
     ("step", math.nan),
     ("target_cost", math.nan),  # never compares <=, so refinement never stops
+    ("max_iterations", 10.5),  # range() in plan raised TypeError
+    ("max_iterations", 10.0),
 ])
 def test_planner_config_rejects_values_that_break_rrt_star(field, value):
     kwargs = {"step": 1.0, "goal": goal_at((1, 1, 1)), "max_iterations": 10, field: value}

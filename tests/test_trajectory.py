@@ -130,6 +130,27 @@ def test_bivp_spec_rejects_non_finite_durations(bad):
         BivpSpec.rest_to_rest(wp, [1.0, bad], 3)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", ["waypoints", "boundary_start", "boundary_end", "intermediate"])
+def test_bivp_spec_rejects_non_finite_conditions(where, bad):
+    """A non-finite waypoint or flag would solve, without an error, to
+    non-finite coefficients; the spec refuses it instead."""
+    wp = np.array([[0.0, 0, 0], [1, 0, 0], [2, 0, 0]])
+    kwargs = {"s": 3, "waypoints": wp, "durations": [1.0, 1.0]}
+    if where == "waypoints":
+        kwargs["waypoints"] = wp.copy()
+        kwargs["waypoints"][1, 2] = bad
+    elif where == "intermediate":
+        kwargs["intermediate"] = [np.array([[1.0, bad], [0.0, 0.0], [0.0, 0.0]])]
+    else:
+        flag = np.zeros((3, 3))
+        flag[:, 0] = wp[0 if where == "boundary_start" else -1]
+        flag[0, 1] = bad  # a velocity
+        kwargs[where] = flag
+    with pytest.raises(ValueError, match="finite"):
+        BivpSpec(**kwargs)
+
+
 # ------------------------------------------------------------- system assembly
 
 
