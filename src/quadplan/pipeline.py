@@ -5,6 +5,7 @@ with collision repair, plus flat-flag queries and yaw profiling on the result.""
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -36,6 +37,19 @@ class PipelineConfig:
     v_max: float = 2.0
     a_max: float = 1.0
     inflate_radius: int = 0
+
+    def __post_init__(self):
+        # Each of these otherwise fails only after the whole front end has
+        # run: v_max=inf makes repair's sample step 0, a float s or radius a
+        # TypeError in the solve or the dilation.
+        if not isinstance(self.s, numbers.Integral) or self.s < 1:
+            raise ValueError("s must be an integer >= 1")
+        if not (self.v_max > 0 and math.isfinite(self.v_max)):
+            raise ValueError("v_max must be positive and finite")
+        if not self.a_max > 0:
+            raise ValueError("a_max must be positive")
+        if not isinstance(self.inflate_radius, numbers.Integral) or self.inflate_radius < 0:
+            raise ValueError("inflate_radius must be an integer >= 0")
 
 
 @dataclass

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
-from scipy.spatial import cKDTree
 
 from .grid import OccupancyGrid
 
@@ -226,6 +225,10 @@ def connectivity_penalty(region: HeuristicRegion, delta: float) -> float:
     member with no such neighbor falls back to its nearest region point, so
     isolated fragments are penalized rather than ignored.
     """
+    # Imported here: scipy.spatial would add about a sixth to the import
+    # time of quadplan, and no other function needs it.
+    from scipy.spatial import cKDTree
+
     pts = region.member_indices().astype(float)
     if len(pts) <= 1:
         return 0.0

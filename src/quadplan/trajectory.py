@@ -385,6 +385,9 @@ def collision_repair(
     are less than half a voxel apart; the sampled polyline is then verified
     with the exact voxel traversal so no voxel can be skipped.
     """
+    # An infinite v_max makes the sample step 0, a NaN one makes it NaN.
+    if not (v_max > 0 and math.isfinite(v_max)):
+        raise ValueError("v_max must be positive and finite")
     dt = grid.resolution / (2.0 * v_max)
     for _ in range(max_rounds + 1):
         colliding = _colliding_segments(traj, grid, dt)

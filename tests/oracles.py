@@ -278,7 +278,10 @@ def reference_extend_and_rewire(tree, x_new, grid, radius, d2):
     the library function."""
     del d2
     x_new = np.asarray(x_new, dtype=float)
-    pts = tree.points
+    # einsum sums a C-contiguous (n, 3) array's rows as (dx^2 + dz^2) + dy^2
+    # but a transposed view's as (dx^2 + dy^2) + dz^2; scan a C-contiguous
+    # copy so the formula stays the one the planner must match.
+    pts = np.ascontiguousarray(tree.points)
     diff = pts - x_new
     d2 = np.einsum("ij,ij->i", diff, diff)
     nearest = int(np.argmin(d2))
@@ -347,7 +350,8 @@ class ReferenceRegionSampler:
 
 def reference_plan(grid, start, cfg, mode="uniform", region=None):
     """planner.plan drawing from the generator once per sample in every
-    mode, steering with reference_steer, extending with
+    mode, finding the nearest vertex with einsum on a C-contiguous copy of
+    the points, steering with reference_steer, extending with
     reference_extend_and_rewire and recomputing the best goal vertex after
     every vertex added. Must build the identical tree, path, cost and
     statistics for the same inputs."""
@@ -382,7 +386,8 @@ def reference_plan(grid, start, cfg, mode="uniform", region=None):
         else:
             x_rand = lower + rng.random(3) * span
 
-        d2 = tree.sq_dists(x_rand)
+        diff = np.ascontiguousarray(tree.points) - x_rand
+        d2 = np.einsum("ij,ij->i", diff, diff)
         x_near = tree.points[int(np.argmin(d2))]
         x_new = reference_steer(x_near, x_rand, cfg.step)
         d = x_new - x_near

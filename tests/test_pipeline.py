@@ -25,7 +25,13 @@ from quadplan.pipeline import (
 )
 from quadplan.planner import PlannerConfig, plan
 from quadplan.regions import HeuristicRegion, NoPathError, filter_region, oracle_region
-from quadplan.trajectory import BivpSpec, DomainError, control_effort, solve_bivp
+from quadplan.trajectory import (
+    BivpSpec,
+    DomainError,
+    collision_repair,
+    control_effort,
+    solve_bivp,
+)
 
 from oracles import reference_eval
 
@@ -159,6 +165,33 @@ def test_pipeline_failures():
     )
     with pytest.raises(PlanningFailure):
         plan_trajectory(grid, (0.5, 0.5, 0.5), starved.planner.goal, starved)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("s", 0), ("s", 2.5), ("s", 3.0), ("s", "3"),
+    ("v_max", 0.0), ("v_max", -2.0), ("v_max", math.inf), ("v_max", math.nan),
+    ("a_max", 0.0), ("a_max", -1.0), ("a_max", math.nan),
+    ("inflate_radius", -1), ("inflate_radius", 1.5), ("inflate_radius", 1.0),
+])
+def test_pipeline_config_rejects_bad_limits(field, value):
+    """Each of these once ran the whole front end before failing: v_max=inf
+    with an OverflowError from repair's zero sample step, a float s or
+    inflate_radius with a TypeError."""
+    with pytest.raises(ValueError, match=field):
+        make_config((8.5, 8.5, 8.5), **{field: value})
+
+
+def test_pipeline_config_accepts_integral_and_unbounded_limits():
+    cfg = make_config((8.5, 8.5, 8.5), s=np.int64(4), v_max=3, a_max=math.inf,
+                      inflate_radius=np.int64(1))
+    assert cfg.s == 4 and cfg.inflate_radius == 1
+
+
+@pytest.mark.parametrize("v_max", [0.0, -1.0, math.inf, math.nan])
+def test_collision_repair_rejects_bad_v_max(v_max):
+    spec = BivpSpec.rest_to_rest(np.array([[1.5, 1.5, 1.5], [8.5, 8.5, 8.5]]), [8.0], 3)
+    with pytest.raises(ValueError, match="v_max"):
+        collision_repair(solve_bivp(spec), spec, empty_grid(10), v_max, 1.0)
 
 
 def test_front_end_filters_only_external_regions():

@@ -243,6 +243,36 @@ def test_sq_dists_recomputed_after_add():
     assert tree.nearest(p) == 1
 
 
+def test_sq_dists_matches_einsum_reference():
+    """The per-axis scan equals einsum on a C-contiguous (n, 3) copy bit for
+    bit, on trees grown past both capacity doublings (1024 and 2048), for
+    random and lattice queries given as tuple, list or ndarray; points keeps
+    every vertex added, in order."""
+    rng = np.random.default_rng(7)
+    added = rng.uniform(-20.0, 30.0, (2500, 3))
+    # Lattice vertices too: voxel centres at resolution 0.5 and integers.
+    added[::7] = np.floor(added[::7]) + 0.5
+    added[3::7] = np.round(added[3::7])
+    tree = SearchTree(added[0])
+    checked = set()
+    for k, p in enumerate(added[1:], start=1):
+        tree.add(p, k - 1, float(k))
+        if tree.n not in (2, 100, 1024, 1025, 2048, 2049, 2500):
+            continue
+        checked.add(tree.n)
+        assert np.array_equal(tree.points, added[: tree.n])
+        pts = np.ascontiguousarray(tree.points)
+        queries = list(rng.uniform(-25.0, 35.0, (40, 3)))
+        queries += list(rng.integers(-20, 30, (20, 3)).astype(float))
+        queries += list(rng.integers(-40, 60, (20, 3)) * 0.5 + 0.25)
+        for q in queries:
+            diff = pts - q
+            want = np.einsum("ij,ij->i", diff, diff)
+            for given in (tuple(q.tolist()), q.tolist(), q):
+                assert np.array_equal(tree.sq_dists(given), want)
+    assert len(checked) == 7
+
+
 def test_duplicate_after_nearest_returns_existing_index():
     """plan's order of calls: one scan from x finds its nearest vertex and
     is handed to extend_and_rewire, which rejects x as a duplicate of that

@@ -2,7 +2,11 @@
 
 import heapq
 import itertools
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -306,6 +310,27 @@ def test_connectivity_penalty_diagonal_neighbors():
     # once per ordered pair.
     r = region_of([(2, 2, 2), (3, 3, 3)])
     assert connectivity_penalty(r, 1.5) == pytest.approx(2 * (np.sqrt(3.0) - 1.5))
+
+
+def test_import_leaves_scipy_spatial_unloaded():
+    """scipy.spatial is imported by connectivity_penalty alone, on first
+    call; importing the package does not pay for it."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(src), *filter(None, [env.get("PYTHONPATH")])])
+    code = "\n".join([
+        "import sys",
+        "import numpy as np",
+        "import quadplan",
+        "from quadplan.regions import HeuristicRegion, connectivity_penalty",
+        "print('scipy.spatial' in sys.modules)",
+        "connectivity_penalty(HeuristicRegion(np.ones((2, 1, 1), dtype=np.float32)), 1.5)",
+        "print('scipy.spatial' in sys.modules)",
+    ])
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.split() == ["False", "True"]
 
 
 def test_safety_penalty_cases():
