@@ -30,24 +30,30 @@ class PlacementError(Exception):
 
 @dataclass(frozen=True)
 class GoalRegion:
-    """Spherical goal set: reached when ||x - center|| < radius."""
+    """Spherical goal set: reached when ||x - center|| < radius.
+
+    center is a read-only copy of the array given, so a later write by the
+    caller moves neither it nor the float tuple that contains reads.
+    """
 
     center: np.ndarray
     radius: float
 
     def __post_init__(self):
-        center = np.asarray(self.center, dtype=float)
+        center = np.array(self.center, dtype=float)
         if center.shape != (3,) or not np.all(np.isfinite(center)):
             raise ValueError("goal center must be a finite 3-vector")
         if not (self.radius > 0 and math.isfinite(self.radius)):
             raise ValueError("goal radius must be positive and finite")
+        center.setflags(write=False)
         object.__setattr__(self, "center", center)
+        object.__setattr__(self, "_xyz", tuple(center.tolist()))
 
     def contains(self, p) -> bool:
-        c = self.center
-        dx = float(p[0]) - c[0]
-        dy = float(p[1]) - c[1]
-        dz = float(p[2]) - c[2]
+        cx, cy, cz = self._xyz
+        dx = float(p[0]) - cx
+        dy = float(p[1]) - cy
+        dz = float(p[2]) - cz
         return dx * dx + dy * dy + dz * dz < self.radius * self.radius
 
 

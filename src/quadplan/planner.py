@@ -262,40 +262,42 @@ def extend_and_rewire(
     truncates. Caller guarantees x_new is collision-free from its nearest
     vertex. Duplicates of existing vertices (distance < 1e-9) are rejected
     by returning the existing index.
+
+    Numpy does only the O(n) work: the argmin over d2 and the one mask that
+    picks the near set. The near set averages about three vertices, so its
+    distances, costs, candidate order and rewire tests run on Python floats,
+    which round as numpy's float64 does (math.sqrt is correctly rounded like
+    np.sqrt), and candidates of equal cost keep index order.
     """
-    x_new = np.asarray(x_new, dtype=float)
-    pts = tree.points
     nearest = int(d2.argmin())
     d_nearest = math.sqrt(d2[nearest])
     if d_nearest < _DUPLICATE_EPS:
         return nearest
     near = (d2 <= radius * radius).nonzero()[0]
-    dists = np.sqrt(d2[near])
-    near_costs = tree.cost[near]
+    near_idx = near.tolist()
+    dists = [math.sqrt(d) for d in d2[near].tolist()]
+    near_costs = tree.cost[near].tolist()
+    through = [c + d for c, d in zip(near_costs, dists)]
 
     parent = nearest
-    best_cost = tree.cost[nearest] + d_nearest
-    if len(near):
-        through = near_costs + dists
-        for k in through.argsort():
-            if through[k] >= best_cost:
-                break
-            v = int(near[k])
-            if segment_collision_free(grid, pts[v], x_new):
-                parent, best_cost = v, float(through[k])
-                break
+    best_cost = tree.cost.item(nearest) + d_nearest
+    for k in sorted(range(len(through)), key=through.__getitem__):
+        if through[k] >= best_cost:
+            break
+        v = near_idx[k]
+        if segment_collision_free(grid, tree._xyz[:, v].tolist(), x_new):
+            parent, best_cost = v, through[k]
+            break
     new_idx = tree.add(x_new, parent, best_cost)
 
-    if len(near):
-        improvable = (best_cost + dists < near_costs - 1e-12).nonzero()[0]
-        for k in improvable:
-            v = int(near[k])
-            if v == parent:
-                continue
-            c_through = best_cost + dists[k]
+    # add replaces both arrays when it doubles the capacity: read them now.
+    cost, xyz = tree.cost, tree._xyz
+    for v, d, c in zip(near_idx, dists, near_costs):
+        c_through = best_cost + d
+        if c_through < c - 1e-12 and v != parent:
             # Rewiring above may already have lowered cost[v]; recheck.
-            if c_through < tree.cost[v] - 1e-12 and segment_collision_free(
-                grid, x_new, pts[v]
+            if c_through < cost.item(v) - 1e-12 and segment_collision_free(
+                grid, x_new, xyz[:, v].tolist()
             ):
                 tree.set_parent(v, new_idx, c_through)
     return new_idx

@@ -31,6 +31,8 @@ _OFFSETS = np.array(
 _STEP_COSTS = np.linalg.norm(_OFFSETS, axis=1)
 
 _CUBE = np.ones((3, 3, 3), dtype=bool)
+# The 27 voxel offsets of a 3x3x3 cube, centre included.
+_CUBE_OFFSETS = np.array(list(itertools.product((-1, 0, 1), repeat=3)), dtype=int)
 
 
 class NoPathError(Exception):
@@ -103,14 +105,15 @@ def astar_path(grid: OccupancyGrid, start, goal) -> np.ndarray:
     Ties break on lower heuristic value, then lexicographic voxel index, so
     the returned path is deterministic.
 
-    The search runs over flat indices into a Python list: the occupancy grid
-    padded with one blocked layer on every face and flattened in C order, so
-    no neighbour needs a bounds check and no numpy call sits inside the loop.
-    Closed voxels are marked blocked in the same list. On the padded grid the
-    C-order flat index of a voxel increases with its lexicographic index, so
-    the heap key (f, h, flat index) breaks ties as (f, h, voxel) would. The
-    heuristic is math.sqrt of an integer sum of squares, which is exact
-    before the root, so f and h equal those of a float norm bit for bit.
+    The search runs over flat indices into a bytearray: the occupancy grid
+    padded with one blocked layer on every face, its C-order bytes copied in
+    one call, so no neighbour needs a bounds check, no numpy call sits inside
+    the loop and no Python object is made per voxel. Closed voxels are marked
+    blocked (1) in the same bytes. On the padded grid the C-order flat index
+    of a voxel increases with its lexicographic index, so the heap key
+    (f, h, flat index) breaks ties as (f, h, voxel) would. The heuristic is
+    math.sqrt of an integer sum of squares, which is exact before the root,
+    so f and h equal those of a float norm bit for bit.
     """
     start = tuple(int(c) for c in np.asarray(start))
     goal = tuple(int(c) for c in np.asarray(goal))
@@ -125,7 +128,7 @@ def astar_path(grid: OccupancyGrid, start, goal) -> np.ndarray:
     _, ny, nz = grid.dims
     sy = nz + 2
     sx = (ny + 2) * sy
-    blocked = np.pad(grid.occupancy, 1, constant_values=True).ravel().tolist()
+    blocked = bytearray(np.pad(grid.occupancy, 1, constant_values=True).tobytes())
     steps = [
         (dx * sx + dy * sy + dz, dx, dy, dz, cost)
         for (dx, dy, dz), cost in zip(_OFFSETS.tolist(), _STEP_COSTS.tolist())
@@ -153,7 +156,7 @@ def astar_path(grid: OccupancyGrid, start, goal) -> np.ndarray:
             x, rest = np.divmod(np.array(path[::-1]), sx)
             y, z = np.divmod(rest, sy)
             return np.column_stack([x, y, z]) - 1
-        blocked[cur] = True
+        blocked[cur] = 1
         gc = g[cur]
         cx, rest = divmod(cur, sx)
         cy, cz = divmod(rest, sy)
@@ -173,14 +176,29 @@ def astar_path(grid: OccupancyGrid, start, goal) -> np.ndarray:
 
 
 def dilate_path(path, dims) -> HeuristicRegion:
-    """Binary region: 1 iff within Chebyshev distance 1 of a path voxel."""
+    """Binary region: 1 iff within Chebyshev distance 1 of a path voxel.
+
+    The path marks about thirty voxels of a grid of tens of thousands, so
+    rather than dilate the whole grid this writes each voxel's 27-cube
+    directly: flat indices of path + offset into a mask padded by one voxel
+    on every face (no cube needs clipping), then the interior is cropped. A
+    path voxel outside dims raises ValueError, since a negative index would
+    otherwise wrap to the far face.
+    """
     path = np.asarray(path, dtype=int)
     if path.size == 0:
         raise ValueError("path must be nonempty")
-    mask = np.zeros(tuple(int(d) for d in dims), dtype=bool)
-    mask[path[:, 0], path[:, 1], path[:, 2]] = True
-    mask = ndimage.binary_dilation(mask, structure=_CUBE)
-    return HeuristicRegion(mask.astype(np.float32))
+    if path.ndim != 2 or path.shape[1] != 3:
+        raise ValueError("path must be an (L, 3) array of voxel indices")
+    nx, ny, nz = (int(d) for d in dims)
+    if (path < 0).any() or (path >= (nx, ny, nz)).any():
+        raise ValueError(f"path has voxels outside dims {(nx, ny, nz)}")
+    strides = np.array([(ny + 2) * (nz + 2), nz + 2, 1])
+    flat = (path + 1) @ strides
+    offsets = _CUBE_OFFSETS @ strides
+    padded = np.zeros((nx + 2) * (ny + 2) * (nz + 2), dtype=np.float32)
+    padded[(flat[:, None] + offsets).ravel()] = 1.0
+    return HeuristicRegion(padded.reshape(nx + 2, ny + 2, nz + 2)[1:-1, 1:-1, 1:-1])
 
 
 def oracle_region(grid: OccupancyGrid, start, goal) -> HeuristicRegion:

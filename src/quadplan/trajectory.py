@@ -47,6 +47,10 @@ def trapezoidal_time_allocation(waypoints, v_max: float, a_max: float) -> np.nda
     """
     if not (v_max > 0 and a_max > 0):
         raise ValueError("v_max and a_max must be positive")
+    # np.where evaluates both branches: an infinite v_max would compute
+    # inf - inf in the cruise one even where the triangular one is taken.
+    if not math.isfinite(v_max):
+        raise ValueError("v_max must be finite")
     waypoints = np.asarray(waypoints, dtype=float)
     d = np.linalg.norm(np.diff(waypoints, axis=0), axis=1)
     if np.any(d <= 0):

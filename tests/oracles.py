@@ -11,6 +11,7 @@ import math
 import time
 
 import numpy as np
+from scipy import ndimage
 
 from quadplan.grid import segment_collision_free
 from quadplan.planner import (
@@ -269,6 +270,16 @@ def reference_astar_path(grid, start, goal, no_path_error):
                 h = float(np.linalg.norm(nbr - goal_arr))
                 heapq.heappush(open_heap, (ng + h, h, nt))
     raise no_path_error(f"no free 26-connected path from {start} to {goal}")
+
+
+def reference_dilate_path(path, dims):
+    """regions.dilate_path as a morphological dilation of the whole grid by
+    a 3x3x3 cube, which must mark the identical voxels; returns the boolean
+    mask."""
+    path = np.asarray(path, dtype=int)
+    mask = np.zeros(tuple(int(d) for d in dims), dtype=bool)
+    mask[path[:, 0], path[:, 1], path[:, 2]] = True
+    return ndimage.binary_dilation(mask, structure=np.ones((3, 3, 3), dtype=bool))
 
 
 def reference_extend_and_rewire(tree, x_new, grid, radius, d2):

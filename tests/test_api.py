@@ -11,6 +11,7 @@ import inspect
 import pytest
 
 from quadplan.bench import run_benchmark, run_trial
+from quadplan.grid import GoalRegion
 from quadplan.pipeline import (
     PipelineConfig,
     plan_front_end,
@@ -19,8 +20,8 @@ from quadplan.pipeline import (
     yaw_profile,
     yaw_samples,
 )
-from quadplan.planner import PlannerConfig, SearchTree, plan
-from quadplan.regions import filter_region
+from quadplan.planner import PlannerConfig, SearchTree, extend_and_rewire, plan
+from quadplan.regions import astar_path, dilate_path, filter_region
 from quadplan.trajectory import collision_repair
 
 REQUIRED = inspect.Parameter.empty
@@ -59,6 +60,7 @@ def test_config_fields_are_pinned():
         ("a_max", 1.0),
         ("inflate_radius", 0),
     ]
+    assert _fields(GoalRegion) == [("center", REQUIRED), ("radius", REQUIRED)]
 
 
 _SIGNATURES = {
@@ -74,6 +76,10 @@ _SIGNATURES = {
     yaw_profile: [("traj", REQUIRED), ("t", REQUIRED), ("last_yaw", 0.0)],
     yaw_samples: [("traj", REQUIRED), ("times", REQUIRED)],
     SearchTree: [("root", REQUIRED)],
+    extend_and_rewire: [("tree", REQUIRED), ("x_new", REQUIRED), ("grid", REQUIRED),
+                        ("radius", REQUIRED), ("d2", REQUIRED)],
+    astar_path: [("grid", REQUIRED), ("start", REQUIRED), ("goal", REQUIRED)],
+    dilate_path: [("path", REQUIRED), ("dims", REQUIRED)],
     run_trial: [("case", REQUIRED), ("mode", REQUIRED), ("seed", REQUIRED), ("step", 2.0),
                 ("max_iterations", 30000), ("target_cost", None)],
     run_benchmark: [("cases", REQUIRED), ("modes", REQUIRED), ("trials", REQUIRED),

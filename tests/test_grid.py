@@ -68,6 +68,20 @@ def test_goal_region():
             GoalRegion(np.zeros(3), bad)
 
 
+def test_goal_region_copies_center():
+    """A later write to the array passed in moves neither center nor the
+    test contains makes, and center itself is read-only."""
+    given = np.array([5.0, 5.0, 5.0])
+    goal = GoalRegion(given, 1.0)
+    given[:] = (0.0, 0.0, 0.0)
+    assert goal.center.tolist() == [5.0, 5.0, 5.0]
+    assert goal.contains((5.0, 5.0, 5.5))
+    assert not goal.contains((0.0, 0.0, 0.0))
+    assert not goal.center.flags.writeable
+    with pytest.raises(ValueError):
+        goal.center[0] = 0.0
+
+
 # ------------------------------------------------------------------ transforms
 
 

@@ -1,6 +1,7 @@
 """RRT* front end: radius formulas, steering, informed sampling, tree
 invariants, extension/rewiring semantics, and the three planning modes."""
 
+import copy
 import dataclasses
 import math
 
@@ -379,6 +380,57 @@ def test_plan_trees_match_reference_plan():
                 assert got[3:] == want[3:], (n, mode, target)
                 solved[mode] += got[3]["success"]
     assert min(solved.values()) >= 20, solved
+
+
+def test_extend_across_capacity_doubling():
+    """x_new joins a full tree, so add replaces the point and cost arrays
+    between choosing the parent and rewiring. Near x_new sit a and its
+    child b on one line with it: rewiring a lowers b's cost to exactly what
+    x_new offers b, so the recheck must read the live costs and keep b
+    under a. The tree equals the one the reference extension builds."""
+    grid = empty_grid(20)
+    cap = planner._TREE_CAPACITY
+    rng = np.random.default_rng(7)
+    tree = SearchTree((10.0, 10.0, 10.0))
+    prev = 0
+    for _ in range(cap - 4):  # a chain of random hops far from x_new
+        p = rng.uniform((13.0, 1.0, 1.0), (19.0, 19.0, 19.0))
+        prev = tree.add(p, prev, tree.cost[prev] + np.linalg.norm(p - tree.points[prev]))
+    d = tree.add((10.0, 12.0, 10.0), 0, 2.0)
+    a = tree.add((11.0, 10.0, 10.0), d, 2.0 + math.sqrt(5.0))
+    b = tree.add((11.5, 10.0, 10.0), a, 2.5 + math.sqrt(5.0))
+    assert tree.n == cap == tree.cost.shape[0]
+    twin = copy.deepcopy(tree)
+    x_new = (10.5, 10.0, 10.0)
+    got = extend_and_rewire(tree, x_new, grid, 1.2, tree.sq_dists(x_new))
+    want = reference_extend_and_rewire(twin, x_new, grid, 1.2, None)
+    assert got == want == cap
+    assert tree.cost.shape[0] == 2 * cap
+    assert tree.parent[cap] == 0 and tree.parent[a] == cap and tree.parent[b] == a
+    assert tree.rewires == twin.rewires == 1
+    assert np.array_equal(tree.points, twin.points)
+    assert tree.parent == twin.parent
+    assert tree.children == twin.children
+    assert np.array_equal(tree.cost[: tree.n], twin.cost[: twin.n])
+    check_tree_invariants(tree)
+
+
+def test_plan_past_capacity_matches_reference_plan():
+    """A uniform run that grows its tree past the initial capacity builds
+    the tree, path and statistics reference_plan does."""
+    spec = ObstacleSpec(count=(6, 10), size_min=(2, 2, 2), size_max=(4, 4, 6), max_retries=200)
+    keep = [(1, 1, 1), (20, 20, 20)]
+    grid = random_cluttered_map((22, 22, 22), 1.0, spec, seed=130, keep_free=keep)
+    goal = goal_at(grid.index_to_world(keep[1]), 3.0)
+    cfg = PlannerConfig(step=2.0, goal=goal, max_iterations=1400, target_cost=0.0, rng_seed=3)
+    start = grid.index_to_world(keep[0])
+    got = _result_state(plan(grid, start, cfg))
+    want = _result_state(reference_plan(grid, start, cfg))
+    assert len(got[1]) > planner._TREE_CAPACITY
+    assert np.array_equal(got[0], want[0])
+    assert got[1] == want[1]
+    assert np.array_equal(got[2], want[2])
+    assert got[3:] == want[3:]
 
 
 # ------------------------------------------------------------------------ plan

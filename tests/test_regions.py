@@ -31,7 +31,7 @@ from quadplan.regions import (
     state_map,
 )
 
-from oracles import ReferenceRegionSampler, reference_astar_path
+from oracles import ReferenceRegionSampler, reference_astar_path, reference_dilate_path
 
 
 def empty_grid(side=8):
@@ -227,6 +227,37 @@ def test_dilate_path_counts():
     assert np.array_equal(region.mask, expect)
     with pytest.raises(ValueError):
         dilate_path(np.empty((0, 3), dtype=int), (8, 8, 8))
+    with pytest.raises(ValueError, match="L, 3"):
+        dilate_path([(1, 1), (2, 2)], (8, 8, 8))
+
+
+@pytest.mark.parametrize("voxel", [(-1, 2, 2), (2, 2, -1), (8, 2, 2), (2, 6, 2), (2, 2, 9)])
+def test_dilate_path_rejects_voxels_outside_dims(voxel):
+    """A negative index would wrap to the far face, and one at or past dims
+    would write into the padding or past the mask: both raise ValueError."""
+    with pytest.raises(ValueError, match="outside"):
+        dilate_path([(1, 1, 1), voxel], (8, 6, 9))
+
+
+def test_dilate_path_matches_reference_dilation():
+    """Scattering each path voxel's cube marks the voxels a whole-grid
+    dilation does: random paths that touch faces, edges and corners, and
+    grids with a side of 1 or 2, where every cube is clipped."""
+    rng = np.random.default_rng(120)
+    dims_list = [(8, 8, 8), (5, 7, 9), (1, 6, 6), (2, 2, 2), (1, 1, 1), (2, 9, 1), (1, 2, 12)]
+    for dims in dims_list:
+        corners = np.array(list(itertools.product(*[(0, d - 1) for d in dims])))
+        for _ in range(20):
+            length = int(rng.integers(1, 12))
+            path = rng.integers(0, dims, (length, 3))
+            # A voxel on a face: one coordinate pinned to 0 or the last index.
+            axis = int(rng.integers(3))
+            path[0, axis] = rng.choice([0, dims[axis] - 1])
+            path = np.vstack([path, corners[rng.integers(len(corners))]])
+            got = dilate_path(path, dims)
+            assert got.values.dtype == np.float32 and got.dims == dims
+            assert set(np.unique(got.values)) <= {0.0, 1.0}
+            assert np.array_equal(got.mask, reference_dilate_path(path, dims)), (dims, path)
 
 
 def test_oracle_region_properties():
@@ -240,6 +271,8 @@ def test_oracle_region_properties():
             (12, 12, 12), res, spec, seed=seed, origin=origin, keep_free=[s, g]
         )
         region = oracle_region(grid, s, g)
+        dilated = reference_dilate_path(astar_path(grid, s, g), grid.dims)
+        assert np.array_equal(region.mask, dilated & ~grid.occupancy)
         assert is_connected(region, s, g)
         assert is_safe(region, grid)
         assert not np.any(region.mask & grid.occupancy)

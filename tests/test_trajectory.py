@@ -72,6 +72,15 @@ def test_trapezoidal_errors():
         trapezoidal_time_allocation(np.array([[0.0, 0, 0], [1, 0, 0]]), 0.0, 1.0)
 
 
+@pytest.mark.parametrize("v_max", [math.inf, math.nan])
+def test_trapezoidal_rejects_non_finite_v_max(v_max):
+    """Rejected before any arithmetic: np.where evaluates both branches, so
+    an infinite v_max would compute inf - inf in the cruise one and warn."""
+    wp = np.array([[0.0, 0, 0], [1.0, 0, 0], [11.0, 0, 0]])
+    with pytest.raises(ValueError, match="v_max"):
+        trapezoidal_time_allocation(wp, v_max, 1.0)
+
+
 # ------------------------------------------------------------------ poly basis
 
 
