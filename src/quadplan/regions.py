@@ -175,13 +175,14 @@ def astar_path(grid: OccupancyGrid, start, goal) -> np.ndarray:
     raise NoPathError(f"no free 26-connected path from {start} to {goal}")
 
 
-def dilate_path(path, dims) -> HeuristicRegion:
-    """Binary region: 1 iff within Chebyshev distance 1 of a path voxel.
+def _dilated_values(path, dims) -> np.ndarray:
+    """Writable (nx, ny, nz) float32 view with 1 iff within Chebyshev
+    distance 1 of a path voxel, else 0.
 
     The path marks about thirty voxels of a grid of tens of thousands, so
     rather than dilate the whole grid this writes each voxel's 27-cube
     directly: flat indices of path + offset into a mask padded by one voxel
-    on every face (no cube needs clipping), then the interior is cropped. A
+    on every face (no cube needs clipping), and the view is its interior. A
     path voxel outside dims raises ValueError, since a negative index would
     otherwise wrap to the far face.
     """
@@ -198,18 +199,25 @@ def dilate_path(path, dims) -> HeuristicRegion:
     offsets = _CUBE_OFFSETS @ strides
     padded = np.zeros((nx + 2) * (ny + 2) * (nz + 2), dtype=np.float32)
     padded[(flat[:, None] + offsets).ravel()] = 1.0
-    return HeuristicRegion(padded.reshape(nx + 2, ny + 2, nz + 2)[1:-1, 1:-1, 1:-1])
+    return padded.reshape(nx + 2, ny + 2, nz + 2)[1:-1, 1:-1, 1:-1]
+
+
+def dilate_path(path, dims) -> HeuristicRegion:
+    """Binary region: 1 iff within Chebyshev distance 1 of a path voxel. A
+    path voxel outside dims raises ValueError."""
+    return HeuristicRegion(_dilated_values(path, dims))
 
 
 def oracle_region(grid: OccupancyGrid, start, goal) -> HeuristicRegion:
     """Ground-truth heuristic: dilated A* path with obstacle voxels zeroed.
 
     Connected by construction (the undilated path survives zeroing) and safe
-    because no emitted voxel overlaps an obstacle.
+    because no emitted voxel overlaps an obstacle. The obstacle voxels are
+    zeroed in the dilated mask itself, so the region is built once.
     """
     path = astar_path(grid, start, goal)
-    region = dilate_path(path, grid.dims)
-    vals = np.where(grid.occupancy, np.float32(0.0), region.values)
+    vals = _dilated_values(path, grid.dims)
+    vals[grid.occupancy] = 0.0
     return HeuristicRegion(vals)
 
 

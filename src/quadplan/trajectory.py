@@ -325,16 +325,25 @@ class PiecewisePolynomial:
 
     def derivatives(self, t: float, orders: int) -> np.ndarray:
         """Derivatives 0..orders-1 of the trajectory at global time t, as an
-        (orders, m) array whose row k is eval(t, k). Needs 1 <= orders <= 2s."""
-        i, tau = self.segment_of(t)
+        (orders, m) array whose row k is eval(t, k). Needs 1 <= orders <= 2s.
+
+        The segment lookup of segment_of and the basis of _basis_rows are
+        inlined: flat-flag sampling calls this once per sample."""
+        total = self._total
+        if not 0.0 <= t <= total:
+            raise DomainError(f"t={t} outside [0, {total}]")
         n = 2 * self.s
         if not 1 <= orders <= n:
             raise ValueError("derivative order out of range")
-        basis = _basis_rows(tau, n, orders)
+        knots = self._knot_list
+        coeffs = self.coeffs
+        i = min(bisect.bisect_right(knots, t) - 1, len(coeffs) - 1)
+        factors, exponents = _basis_table(n, orders)
+        basis = factors * np.float_power(t - knots[i], exponents)
         # A stack of vector-matrix products sums each row as
         # poly_basis(tau, s, k) @ coeffs[i] does; a 2-D basis @ coeffs
         # product may sum in another order.
-        return np.matmul(basis[:, None, :], self.coeffs[i])[:, 0, :]
+        return np.matmul(basis[:, None, :], coeffs[i])[:, 0, :]
 
     def eval(self, t: float, k: int = 0) -> np.ndarray:
         """k-th derivative of the trajectory at global time t (m-vector)."""
@@ -355,23 +364,34 @@ def solve_bivp(spec: BivpSpec) -> PiecewisePolynomial:
     return PiecewisePolynomial(coeffs, spec.durations, spec.s)
 
 
-def control_effort(traj: PiecewisePolynomial) -> float:
+def control_effort(traj: PiecewisePolynomial) -> np.float64:
     """Integral of the squared s-th derivative over the whole trajectory,
-    by exact polynomial product integration (no quadrature)."""
+    by exact polynomial product integration (no quadrature).
+
+    With a_j the s-th derivative's coefficient of tau^j on a segment of
+    duration T, the segment adds sum_{j,k} (a_j . a_k) T^p / p, p = j + k + 1.
+    All terms are formed in whole-array passes and summed one by one in
+    (segment, j, k) order:
+      - every a_j . a_k is a (1, m) @ (m, 1) product in one stacked matmul,
+        which numpy evaluates with the BLAS dot of np.dot; a plain
+        (a_j * a_k).sum() can differ in the last bit;
+      - T^p comes from np.float_power, the C library's pow that a scalar
+        T ** p calls;
+      - np.cumsum adds left to right, as a running total does.
+    The result is an np.float64 (the durations are), and its repr, which
+    callers may record, is that of the scalar triple loop over np.dot."""
     s = traj.s
     n = 2 * s
-    total = 0.0
     # gamma^(s)(tau) = sum_{j>=s} c_j * perm(j, s) * tau^(j-s); the factors
     # are row s of the basis table.
     fac = _basis_table(n, n)[0][s, s:]
-    for i in range(traj.M):
-        T = traj.durations[i]
-        a = traj.coeffs[i, s:, :] * fac[:, None]  # (s, m) scaled coefficients
-        for j in range(s):
-            for k in range(s):
-                p = j + k + 1
-                total += float(np.dot(a[j], a[k])) * T**p / p
-    return total
+    a = traj.coeffs[:, s:, :] * fac[:, None]  # (M, s, m) scaled coefficients
+    dots = np.matmul(a[:, :, None, None, :], a[:, None, :, :, None])[..., 0, 0]
+    jk = np.add.outer(np.arange(s), np.arange(s))  # p - 1 for each (j, k)
+    powers = np.float_power(traj.durations[:, None], np.arange(1.0, 2 * s))  # T^1 .. T^(2s-1)
+    terms = dots * powers[:, jk] / (jk + 1.0)
+    # 0.0 + makes an all-(-0.0) sum +0.0, as a running total from 0.0 does.
+    return 0.0 + np.cumsum(terms)[-1]
 
 
 def collision_repair(
@@ -387,7 +407,10 @@ def collision_repair(
 
     Sampling step resolution/(2 v_max) seconds guarantees consecutive samples
     are less than half a voxel apart; the sampled polyline is then verified
-    with the exact voxel traversal so no voxel can be skipped.
+    with the exact voxel traversal's verdicts so no voxel can be skipped. Most
+    chords get that verdict from their two endpoint voxels alone; only those
+    between free voxels that cross two or more voxel faces run the walk (see
+    _colliding_segments). A non-finite sample raises ValueError.
     """
     # An infinite v_max makes the sample step 0, a NaN one makes it NaN.
     if not (v_max > 0 and math.isfinite(v_max)):
@@ -419,29 +442,59 @@ def collision_repair(
 
 def _colliding_segments(traj: PiecewisePolynomial, grid: OccupancyGrid, dt: float) -> set[int]:
     """Indices of segments whose samples, dt apart, are not joined by free
-    straight lines.
+    straight lines (chords), as segment_collision_free judges them.
 
-    Each segment's samples are evaluated in one batch with the segment lookup
-    of PiecewisePolynomial.segment_of: a sample on a knot belongs to the next
-    segment. Row 0 of the basis table and the stacked matmul make the same
-    basis and vector-matrix product per sample as eval, so the points equal
-    eval's.
+    All segments are sampled in one pass. Segment i's samples are those of
+    np.linspace(t0, t1, c) with c = max(2, ceil((t1 - t0) / dt) + 1): the
+    times k * step + t0 with step = (t1 - t0) / (c - 1), the last set to t1.
+    They are evaluated with the segment lookup of PiecewisePolynomial.
+    segment_of (a sample on a knot belongs to the next segment), row 0 of the
+    basis table and one stacked matmul, so the points equal eval's.
+
+    Most chords are judged from their two endpoint voxels, computed with the
+    walk's own operations: the walk visits both, so a chord with an endpoint
+    voxel out of bounds or occupied is not free, and a chord between free
+    voxels that crosses at most one voxel face is free. Only the chords
+    between free voxels with two or more crossings call the walk. A
+    non-finite sample raises ValueError.
     """
-    out = set()
     knots = traj.knots
-    total = traj.total_duration
-    n = 2 * traj.s
-    for i in range(traj.M):
-        t0, t1 = knots[i], knots[i + 1]
-        ts = np.linspace(t0, t1, max(2, int(math.ceil((t1 - t0) / dt)) + 1))
-        ts = np.minimum(ts, total)
-        seg = np.minimum(np.searchsorted(knots, ts, side="right") - 1, traj.M - 1)
-        basis = _basis_rows((ts - knots[seg])[:, None], n, 1)
-        pts = np.matmul(basis[:, None, :], traj.coeffs[seg])[:, 0, :].tolist()
-        for a, b in zip(pts[:-1], pts[1:]):
-            if not segment_collision_free(grid, a, b):
-                out.add(i)
-                break
+    M = traj.M
+    t0 = knots[:-1]
+    delta = knots[1:] - t0
+    counts = np.maximum(2, np.ceil(delta / dt).astype(np.intp) + 1)
+    ends = np.cumsum(counts)
+    owner = np.repeat(np.arange(M), counts)  # segment index of each sample
+    k = np.arange(ends[-1]) - (ends - counts)[owner]
+    ts = k * (delta / (counts - 1))[owner] + t0[owner]
+    ts[ends - 1] = knots[1:]
+    ts = np.minimum(ts, traj.total_duration)
+    seg = np.minimum(np.searchsorted(knots, ts, side="right") - 1, M - 1)
+    basis = _basis_rows((ts - knots[seg])[:, None], 2 * traj.s, 1)
+    # Non-finite coefficients make inf * 0 or overflow here; the check below
+    # reports them.
+    with np.errstate(invalid="ignore", over="ignore"):
+        pts = np.matmul(basis[:, None, :], traj.coeffs[seg])[:, 0, :]
+        u = (pts - grid.origin) * (1.0 / grid.resolution)
+    if not np.isfinite(u).all():
+        raise ValueError("trajectory sample or its voxel coordinates not finite")
+
+    # Endpoint voxels, bounds tested before the integer cast.
+    inside = ((u >= 0.0) & (u < grid.dims)).all(axis=1)
+    cell = np.zeros(u.shape, dtype=np.intp)
+    cell[inside] = u[inside]  # truncation is floor for u >= 0
+    free = inside.copy()
+    free[inside] = ~grid.occupancy[tuple(cell[inside].T)]
+    # Chord j joins samples j and j + 1 of one segment.
+    chord = np.ones(len(ts) - 1, dtype=bool)
+    chord[ends[:-1] - 1] = False
+    both_free = free[:-1] & free[1:]
+    crossings = np.abs(np.diff(cell, axis=0)).sum(axis=1)
+    out = set(owner[:-1][chord & ~both_free].tolist())
+    for j in np.flatnonzero(chord & both_free & (crossings >= 2)).tolist():
+        i = int(owner[j])
+        if i not in out and not segment_collision_free(grid, pts[j].tolist(), pts[j + 1].tolist()):
+            out.add(i)
     return out
 
 

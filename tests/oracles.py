@@ -118,6 +118,24 @@ def effort_of_coeffs(coeffs, durations, s):
     return float(total)
 
 
+def reference_control_effort(traj):
+    """control_effort as a scalar triple loop: one np.dot per segment and
+    pair of scaled coefficients, added to a running total in (segment, j, k)
+    order. The library's whole-array version must match it bit for bit."""
+    s = traj.s
+    n = 2 * s
+    total = 0.0
+    fac = np.array([math.perm(j, s) for j in range(s, n)], dtype=float)
+    for i in range(traj.M):
+        T = traj.durations[i]
+        a = traj.coeffs[i, s:, :] * fac[:, None]  # (s, m) scaled coefficients
+        for j in range(s):
+            for k in range(s):
+                p = j + k + 1
+                total += float(np.dot(a[j], a[k])) * T**p / p
+    return total
+
+
 def random_bivp_spec(rng, bivp_cls, s=None, max_segments=50, M=None):
     """Random well-posed problem: random waypoints, positive durations,
     random intermediate orders d_i in [1, s], random boundary flags. M

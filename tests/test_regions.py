@@ -279,6 +279,21 @@ def test_oracle_region_properties():
         assert filter_region(region, grid, s, g) == region
 
 
+def test_oracle_region_equals_two_step_build():
+    """Zeroing obstacles inside the dilated mask gives the region that
+    dilating first and zeroing with np.where afterwards gave, value for value."""
+    spec = ObstacleSpec(count=(8, 12), size_min=(1, 1, 1), size_max=(3, 3, 3))
+    s, g = (0, 0, 0), (11, 11, 11)
+    for seed in range(10):
+        grid = random_cluttered_map((12, 12, 12), 1.0, spec, seed=seed + 40, keep_free=[s, g])
+        dilated = dilate_path(astar_path(grid, s, g), grid.dims)
+        two_step = np.where(grid.occupancy, np.float32(0.0), dilated.values)
+        region = oracle_region(grid, s, g)
+        assert region.values.dtype == np.float32 and not region.values.flags.writeable
+        assert region.values.tobytes() == two_step.tobytes()
+        assert region == HeuristicRegion(two_step)
+
+
 # ------------------------------------------------------------------- filtering
 
 

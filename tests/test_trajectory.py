@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadplan.grid import ObstacleSpec, OccupancyGrid, random_cluttered_map, segment_collision_free
 from quadplan.trajectory import (
@@ -35,6 +37,7 @@ from oracles import (
     effort_of_coeffs,
     random_bivp_spec,
     reference_build_banded_system,
+    reference_control_effort,
     reference_eval,
     reference_poly_basis,
 )
@@ -386,6 +389,27 @@ def test_control_effort_matches_polynomial_oracle():
         assert control_effort(traj) == pytest.approx(want, rel=1e-9)
 
 
+def test_control_effort_matches_reference_loop():
+    """The whole-array effort equals the scalar triple loop over np.dot bit
+    for bit, as an np.float64, for s = 1..4 and m = 1..3."""
+    rng = np.random.default_rng(16)
+    quintic = solve_bivp(BivpSpec.rest_to_rest(np.array([[0.0], [1.0]]), [1.0], 3))
+    trajs = [quintic]
+    for s in (1, 2, 3, 4):
+        for m in (1, 2, 3):
+            for _ in range(4):
+                M = int(rng.integers(1, 12))
+                wp = rng.normal(size=(M + 1, m)) * 5.0
+                durations = rng.uniform(0.2, 3.0, M)
+                trajs.append(solve_bivp(BivpSpec.rest_to_rest(wp, durations, s)))
+        trajs.append(solve_bivp(random_bivp_spec(rng, BivpSpec, s=s, max_segments=20)))
+    for traj in trajs:
+        got = control_effort(traj)
+        want = reference_control_effort(traj)
+        assert type(got) is np.float64 and type(want) is np.float64
+        assert repr(got) == repr(want), (traj.s, traj.m, traj.M)
+
+
 def test_effort_time_scaling():
     rng = np.random.default_rng(7)
     for s in (3, 4):
@@ -507,6 +531,74 @@ def test_colliding_segments_match_per_sample_eval():
             assert got == colliding_segments_by_eval(traj, g, dt)
             some_collide += 0 < len(got) < traj.M
     assert some_collide >= 10
+
+
+def test_colliding_segments_rejects_non_finite_samples():
+    """A NaN or infinite coefficient, or one so large that a sample
+    overflows, raises ValueError before any voxel lookup and without a
+    numpy warning (warnings fail the tests)."""
+    grid, spec = corner_cut_instance()
+    base = solve_bivp(spec)
+    for bad in (math.nan, math.inf, -math.inf, 1e308):
+        coeffs = base.coeffs.copy()
+        coeffs[1, 5, 0] = bad  # tau^5 on segment 1: 0 * bad at its first sample
+        traj = PiecewisePolynomial(coeffs, base.durations, base.s)
+        with pytest.raises(ValueError, match="not finite"):
+            _colliding_segments(traj, grid, 0.25)
+        with pytest.raises(ValueError, match="not finite"):
+            collision_repair(traj, spec, grid, v_max=2.0, a_max=1.0)
+
+
+_RESOLUTIONS = (0.3, 0.5, 1.0)
+_ORIGINS = ((0.0, 0.0, 0.0), (-0.45, 0.15, 0.6))
+_DIMS = (6, 5, 7)
+
+
+@st.composite
+def _grid_and_chords(draw):
+    """A small grid (resolution 0.3, 0.5 or 1.0, origin at zero or offset)
+    and a polyline. Vertex coordinates mix voxel faces (so vertices lie on
+    faces, edges and corners) with arbitrary values, inside the grid and up
+    to two voxels outside; a vertex is either anywhere or within about a
+    voxel of the one before, so chords cross 0, 1 or many voxel faces."""
+    res = draw(st.sampled_from(_RESOLUTIONS))
+    origin = draw(st.sampled_from(_ORIGINS))
+    seed = draw(st.integers(0, 2**16))
+    occ = np.random.default_rng(seed).uniform(size=_DIMS) < draw(st.sampled_from((0.0, 0.05, 0.2)))
+    grid = OccupancyGrid(occ, res, origin)
+
+    def coordinate(ax, margin):
+        lo, n = origin[ax], _DIMS[ax]
+        return st.one_of(
+            st.integers(-margin, n + margin).map(lambda k: lo + k * res),
+            st.floats(lo - margin * res, lo + (n + margin) * res),
+        )
+
+    inside = st.tuples(*(coordinate(ax, 0) for ax in range(3)))
+    anywhere = st.tuples(*(coordinate(ax, 2) for ax in range(3)))
+    step = st.sampled_from((-res, 0.0, res)) | st.floats(-0.6 * res, 0.6 * res)
+    vertices = [draw(inside)]
+    for _ in range(draw(st.integers(1, 7))):
+        kind = draw(st.integers(0, 4))
+        if kind == 0:
+            vertices.append(draw(anywhere))
+        elif kind < 3:
+            vertices.append(draw(inside))
+        else:
+            vertices.append(tuple(c + draw(step) for c in vertices[-1]))
+    return grid, np.array(vertices)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_grid_and_chords())
+def test_colliding_segments_chord_verdicts_match_walk(case):
+    """On a piecewise-linear trajectory sampled once per segment, every
+    segment is one chord between consecutive vertices, and its verdict from
+    the endpoint voxels (or the walk) is segment_collision_free's."""
+    grid, vertices = case
+    coeffs = np.stack([vertices[:-1], vertices[1:] - vertices[:-1]], axis=1)
+    traj = PiecewisePolynomial(coeffs, np.ones(len(vertices) - 1), 1)
+    assert _colliding_segments(traj, grid, 1.0) == colliding_segments_by_eval(traj, grid, 1.0)
 
 
 def test_repair_exhausted():
