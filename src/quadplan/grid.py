@@ -11,7 +11,6 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 GRID_MAGIC = b"MNRGRID1"
 
@@ -262,6 +261,10 @@ def inflate(grid: OccupancyGrid, radius_voxels: int) -> OccupancyGrid:
         raise ValueError("radius_voxels must be nonnegative")
     if radius_voxels == 0 or not grid.occupancy.any():
         return grid
+    # Imported here: scipy.ndimage costs about 100 ms and 5 MB on import,
+    # and only inflation, region filtering and is_connected use it.
+    from scipy import ndimage
+
     size = 2 * radius_voxels + 1
     occ = ndimage.binary_dilation(grid.occupancy, structure=np.ones((size,) * 3, dtype=bool))
     return OccupancyGrid(occ, grid.resolution, grid.origin)

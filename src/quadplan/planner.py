@@ -15,6 +15,8 @@ from .grid import GoalRegion, OccupancyGrid, segment_collision_free
 from .regions import HeuristicRegion, RegionSampler
 
 _DUPLICATE_EPS = 1e-9
+# Relative rounding margin of _extend_truncated's sole-nearest test.
+_SOLE_MARGIN = 1e-9
 # Initial vertex capacity of a SearchTree; it doubles when full.
 _TREE_CAPACITY = 1024
 # Doubles drawn per generator call in uniform and heuristic modes.
@@ -112,7 +114,10 @@ def informed_sample(start, goal, c_best: float, bounds, rng: np.random.Generator
 class SearchTree:
     """RRT* tree over world points with parent links, cost-from-start, and
     child lists for cost propagation after rewiring. sq_dists scans every
-    vertex on each call; plan hands its scan on to extend_and_rewire.
+    vertex on each call, and plan makes one scan per iteration: it hands the
+    scan from its sample on to extend_and_rewire, and when steer truncates
+    it joins x_new to the nearest vertex from that same scan, since no other
+    vertex can lie within the rewire radius of x_new (_extend_truncated).
 
     Vertices live in _xyz, a (3, capacity) array with one contiguous row per
     axis, so the scan is four whole-row operations rather than numpy loops
@@ -258,10 +263,13 @@ def extend_and_rewire(
 
     d2 holds the squared distances from x_new to every vertex, as
     tree.sq_dists(x_new) returns them; plan passes the scan its nearest
-    query already made, so an iteration scans the tree once unless steer
-    truncates. Caller guarantees x_new is collision-free from its nearest
-    vertex. Duplicates of existing vertices (distance < 1e-9) are rejected
-    by returning the existing index.
+    query already made when x_new is the sample itself. When steer
+    truncates, plan calls _extend_truncated instead, which joins x_new to
+    its nearest vertex from the sample's scan and comes here with a second
+    scan only on a near-tie, so an iteration scans the tree once. Caller
+    guarantees x_new is collision-free from its nearest vertex. Duplicates
+    of existing vertices (distance < 1e-9) are rejected by returning the
+    existing index.
 
     Numpy does only the O(n) work: the argmin over d2 and the one mask that
     picks the near set. The near set averages about three vertices, so its
@@ -303,6 +311,50 @@ def extend_and_rewire(
     return new_idx
 
 
+def _extend_truncated(
+    tree: SearchTree, x_new, grid: OccupancyGrid, radius: float, d2: np.ndarray,
+    nearest: int, x_rand,
+) -> int:
+    """extend_and_rewire for an x_new that steer truncated, given the scan
+    from x_rand rather than from x_new: d2 holds the squared distances from
+    x_rand, nearest is their argmin n, x_new lies step from n on the way to
+    x_rand, and radius <= step.
+
+    Geometry settles this extension without a scan from x_new. Let d be n's
+    distance from x_rand. A vertex v within radius of x_new has
+    |v - x_rand| <= |v - x_new| + |x_new - x_rand| <= step + (d - step) = d,
+    and no vertex lies nearer x_rand than d, so equality holds throughout:
+    v lies on the ray from x_rand through x_new at distance d, which makes
+    it n. Every other vertex is farther than step from x_new, where n lies
+    at step, so n is x_new's nearest vertex, the near set is {n} or empty,
+    n is the parent, and nothing is rewired. x_new then joins n at cost(n)
+    + |n - x_new|, the squared distance summed in the scan's order, or n is
+    returned for a duplicate, as extend_and_rewire would do.
+
+    Rounding is why the test keeps a margin. The coordinates, d and x_new
+    carry errors of a few ulps of s = |x_rand|_1 + 2d, which bounds |n|_1
+    and |x_new|_1 too. If every vertex but n lies beyond d + m in the scan,
+    with m = 1e-9 s, each lies beyond step + m/2 from x_new in exact terms:
+    about a million times the rounding of a scan from x_new, so that scan
+    would leave it out of the near set and above n in the argmin. A tie or
+    near-tie within m falls back to that scan and extend_and_rewire.
+    """
+    rx, ry, rz = x_rand
+    d = math.sqrt(d2.item(nearest))
+    lim = d + _SOLE_MARGIN * (abs(rx) + abs(ry) + abs(rz) + 2.0 * d)
+    if np.count_nonzero(d2 <= lim * lim) != 1:
+        return extend_and_rewire(tree, x_new, grid, radius, tree.sq_dists(x_new))
+    nx, ny, nz = tree._xyz[:, nearest].tolist()
+    xx, xy, xz = x_new
+    dx = nx - xx
+    dy = ny - xy
+    dz = nz - xz
+    dist = math.sqrt((dx * dx + dz * dz) + dy * dy)
+    if dist < _DUPLICATE_EPS:
+        return nearest
+    return tree.add(x_new, nearest, tree.cost.item(nearest) + dist)
+
+
 def plan(
     grid: OccupancyGrid,
     start,
@@ -336,8 +388,17 @@ def plan(
     vertex is added or a rewire changed costs. A run that never reaches the
     goal region returns success=False with path=None.
 
+    Each iteration scans the tree once, from the sample. When steer
+    truncates, x_new lies step from the nearest vertex on the way to the
+    sample, so no other vertex can lie within the rewire radius (at most
+    step) of x_new: x_new joins the nearest vertex with no second scan and
+    no rewire pass (_extend_truncated, which also proves the rounding margin
+    of that test safe and falls back to a scan from x_new on a near-tie).
+    The trees are those of a rescan plus extend_and_rewire, bit for bit.
+
     A sample whose steered point duplicates a vertex (within 1e-9) is
-    rejected by extend_and_rewire alone, and the iteration adds nothing.
+    rejected by extend_and_rewire or _extend_truncated alone, and the
+    iteration adds nothing.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
@@ -398,16 +459,18 @@ def plan(
                 pos += 3
 
         d2 = tree.sq_dists((rx, ry, rz))
-        nx, ny, nz = tree._xyz[:, int(d2.argmin())].tolist()
+        nearest = int(d2.argmin())
+        nx, ny, nz = tree._xyz[:, nearest].tolist()
         xx, xy, xz, truncated = _steer(nx, ny, nz, rx, ry, rz, step)
         x_new = (xx, xy, xz)
         if not segment_collision_free(grid, (nx, ny, nz), x_new):
             continue
-        if truncated:
-            d2 = tree.sq_dists(x_new)
         radius = shrinking_radius(tree.n, step, gamma)
         before = tree.n
-        idx = extend_and_rewire(tree, x_new, grid, radius, d2)
+        if truncated:
+            idx = _extend_truncated(tree, x_new, grid, radius, d2, nearest, (rx, ry, rz))
+        else:
+            idx = extend_and_rewire(tree, x_new, grid, radius, d2)
         if tree.n == before:
             continue  # duplicate rejected
         if goal.contains(x_new):

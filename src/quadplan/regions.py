@@ -16,7 +16,6 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .grid import OccupancyGrid
 
@@ -230,6 +229,10 @@ def filter_region(region: HeuristicRegion, grid: OccupancyGrid, start, goal) -> 
         raise ValueError(f"region dims {region.dims} != grid dims {grid.dims}")
     start = tuple(int(c) for c in np.asarray(start))
     goal = tuple(int(c) for c in np.asarray(goal))
+    # Imported here, as in grid.inflate: plan_front_end filters only a region
+    # passed in, so the default pipeline never calls this.
+    from scipy import ndimage
+
     mask = (region.values >= 0.5) & ~grid.occupancy
     labels, n = ndimage.label(mask, structure=_CUBE)
     keep = {labels[start], labels[goal]} - {0}
@@ -294,6 +297,8 @@ def is_connected(region: HeuristicRegion, start, goal) -> bool:
     mask = region.mask
     if not (mask[start] and mask[goal]):
         return False
+    from scipy import ndimage
+
     labels, _ = ndimage.label(mask, structure=_CUBE)
     return labels[start] == labels[goal]
 

@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, event, example, given, settings
+from hypothesis import strategies as st
 
 from quadplan import planner
 from quadplan.bench import paperlike_maps
@@ -323,10 +325,15 @@ def _tree_state(result):
 
 
 def test_plan_trees_match_reference_extend(monkeypatch):
-    """plan hands its nearest scan to extend_and_rewire and rescans only
-    when steer truncates; swapping in the reference extension, which
-    ignores the scan it is given and makes its own from x_new, must leave
-    every tree, cost and statistic unchanged."""
+    """plan hands its nearest scan to extend_and_rewire when steer does not
+    truncate; swapping in the reference extension, which ignores the scan
+    it is given and makes its own from x_new, must leave every tree, cost
+    and statistic unchanged. A truncated steer joins its nearest vertex in
+    _extend_truncated without calling extend_and_rewire, so the reference
+    sees only non-truncated iterations and that function's near-tie
+    fallbacks; test_plan_trees_match_reference_plan, whose reference_plan
+    always rescans from x_new and extends, is the identity gate for the
+    truncated join."""
     cases = _identity_cases()
     assert len(cases) >= 20
     solved = {"uniform": 0, "informed": 0, "heuristic": 0}
@@ -431,6 +438,147 @@ def test_plan_past_capacity_matches_reference_plan():
     assert got[1] == want[1]
     assert np.array_equal(got[2], want[2])
     assert got[3:] == want[3:]
+
+
+def _tree_of(points, parents):
+    """A SearchTree of the points, each joined to its parent at the parent's
+    cost plus the edge length."""
+    tree = SearchTree(points[0])
+    for p, parent in zip(points[1:], parents):
+        tree.add(p, parent, tree.cost.item(parent) + math.dist(p, tree.points[parent]))
+    return tree
+
+
+def _unit(draw):
+    u = [draw(st.floats(-1.0, 1.0)) for _ in range(3)]
+    norm = math.sqrt(sum(c * c for c in u))
+    return [c / norm for c in u] if norm > 1e-3 else [1.0, 0.0, 0.0]
+
+
+@st.composite
+def _truncating_extensions(draw):
+    """(points, parents, x_rand, step, radius) with every vertex about step
+    or farther from x_rand, so steer from the nearest one mostly truncates,
+    and radius <= step. x_rand sits at an offset of up to 1e4 per axis, on
+    a dyadic lattice of spacing h in (step/2, step] or off it. Vertices are
+    lattice points (exact distances when x_rand is on the lattice), sign
+    flips and axis swaps of earlier lattice offsets (exact ties), points at
+    random distances, points just beyond step (x_new then lies within
+    rounding of x_rand), and near copies of the nearest vertex so far or of
+    any earlier one: the same distance from x_rand along a direction turned
+    by 1e-16 to 0.1 rad, which ties or near-ties in rounding."""
+    step = draw(st.floats(1e-3, 10.0))
+    radius = step * draw(st.sampled_from((1.0, 0.5)) | st.floats(0.01, 1.0))
+    h = 2.0 ** math.floor(math.log2(step))
+    lattice = draw(st.booleans())
+    x_rand = []
+    for _ in range(3):
+        o = draw(st.sampled_from((0.0, 1.5, -2048.0, 9999.0)) | st.floats(-1e4, 1e4))
+        x_rand.append(round(o / h) * h if lattice else o)
+    offsets, points = [], []
+    for _ in range(draw(st.integers(1, 12))):
+        kind = draw(st.integers(0, 5)) if points else 0
+        if kind == 0:
+            k = draw(st.tuples(*[st.integers(-6, 6)] * 3))
+            if k[0] ** 2 + k[1] ** 2 + k[2] ** 2 < 5:
+                k = (3, *k[1:])
+            offsets.append(k)
+        elif kind == 1:
+            k = list(draw(st.sampled_from(offsets)))
+            k[draw(st.integers(0, 2))] *= -1
+            k = draw(st.permutations(k))
+        if kind <= 1:
+            # |k| h >= sqrt(5) h > step.
+            points.append([c + ki * h for c, ki in zip(x_rand, k)])
+        elif kind <= 3:
+            if kind == 2:
+                dist = step * draw(st.floats(1.001, 6.0))
+            else:
+                dist = step * (1.0 + 10.0 ** draw(st.floats(-16.0, -3.0)))
+            points.append([c + dist * u for c, u in zip(x_rand, _unit(draw))])
+        else:
+            if kind == 4:
+                base = min(points, key=lambda p: math.dist(p, x_rand))
+            else:
+                base = draw(st.sampled_from(points))
+            turn = 10.0 ** draw(st.floats(-16.0, -1.0))
+            diff = [b - c for b, c in zip(base, x_rand)]
+            dist = math.sqrt(sum(c * c for c in diff))
+            w = [c / dist + turn * u for c, u in zip(diff, _unit(draw))]
+            norm = math.sqrt(sum(c * c for c in w))
+            points.append([c + dist * wi / norm for c, wi in zip(x_rand, w)])
+    parents = [draw(st.integers(0, i)) for i in range(len(points) - 1)]
+    return points, parents, tuple(x_rand), step, radius
+
+
+def _truncated_extension(points, parents, x_rand, step, radius):
+    """One RRT* iteration both ways, if steer from the nearest vertex
+    truncates (else None): plan's _extend_truncated on the tree, and a full
+    scan from x_new plus extend_and_rewire on a deep-copied twin. Returns
+    the trees, both results and whether _extend_truncated fell back to a
+    scan from x_new."""
+    tree = _tree_of(np.array(points), parents)
+    twin = copy.deepcopy(tree)
+    lo = np.minimum(tree.points.min(axis=0), x_rand) - 1.0
+    span = float((np.maximum(tree.points.max(axis=0), x_rand) + 1.0 - lo).max())
+    grid = OccupancyGrid(np.zeros((2, 2, 2), dtype=bool), span / 2 + 1.0, lo)
+    d2 = tree.sq_dists(x_rand)
+    nearest = int(d2.argmin())
+    nx, ny, nz = tree._xyz[:, nearest].tolist()
+    *x_new, truncated = planner._steer(nx, ny, nz, *x_rand, step)
+    if not truncated:
+        return None
+    x_new = tuple(x_new)
+    scans = []
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(tree, "sq_dists", lambda p: scans.append(p) or SearchTree.sq_dists(tree, p))
+        got = planner._extend_truncated(tree, x_new, grid, radius, d2, nearest, x_rand)
+    want = extend_and_rewire(twin, x_new, grid, radius, twin.sq_dists(x_new))
+    return tree, twin, got, want, bool(scans)
+
+
+def _assert_same_tree(tree, twin):
+    assert np.array_equal(tree.points, twin.points)
+    assert tree.parent == twin.parent
+    assert tree.children == twin.children
+    assert np.array_equal(tree.cost[: tree.n], twin.cost[: twin.n])
+    assert tree.rewires == twin.rewires
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_truncating_extensions())
+# Near-ties that only the fallback gets right: the first fails with no
+# margin (m = 0), the second without the sole-nearest test.
+@example(([[2051.0, 0.0, 0.0]] * 5
+           + [[2049.0, 2.0, 0.0], [2048.999999910557, 2.0000000447213537, 0.0]],
+           [0] * 6, (2048.0, 0.0, 0.0), 1.2600388362580262, 1.2600388362580262))
+@example(([[3.0, 0.0, 0.0], [1.414213562373095, 0.0, 1.414213562373095]]
+           + [[3.0, 0.0, 0.0]] * 4 + [[1.4142135723730949, 0.0, 1.4142135523730948]],
+           [0] * 6, (0.0, 0.0, 0.0), 1.0, 1.0))
+def test_truncated_steer_joins_nearest_as_a_rescan_would(case):
+    """Whether _extend_truncated joins x_new to the nearest vertex from the
+    scan from x_rand or falls back to a scan from x_new, it builds the tree
+    a scan from x_new plus extend_and_rewire builds: points, parents,
+    children, costs and rewires, bit for bit."""
+    result = _truncated_extension(*case)
+    assume(result is not None)
+    tree, twin, got, want, fell_back = result
+    event("fallback" if fell_back else "joined the nearest vertex")
+    assert got == want
+    _assert_same_tree(tree, twin)
+
+
+def test_truncated_steer_falls_back_on_a_tie():
+    """Two vertices mirror-symmetric about an axis through x_rand tie in
+    distance from it, so the scan from x_rand cannot rule the second out
+    and _extend_truncated scans from x_new, still building the twin's
+    tree."""
+    points = [[4.0, 1.0, 0.0], [4.0, -1.0, 0.0], [0.0, 6.0, 2.0]]
+    tree, twin, got, want, fell_back = _truncated_extension(
+        points, [0, 1], (0.0, 0.0, 0.0), 1.0, 1.0)
+    assert fell_back
+    assert got == want == 3 and tree.parent[3] == 0
+    _assert_same_tree(tree, twin)
 
 
 # ------------------------------------------------------------------------ plan

@@ -360,13 +360,22 @@ def test_connectivity_penalty_diagonal_neighbors():
     assert connectivity_penalty(r, 1.5) == pytest.approx(2 * (np.sqrt(3.0) - 1.5))
 
 
-def test_import_leaves_scipy_spatial_unloaded():
-    """scipy.spatial is imported by connectivity_penalty alone, on first
-    call; importing the package does not pay for it."""
+def run_fresh_python(lines):
+    """Standard output of the lines run in a fresh interpreter that imports
+    quadplan from this checkout, split into words."""
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([str(src), *filter(None, [env.get("PYTHONPATH")])])
-    code = "\n".join([
+    proc = subprocess.run([sys.executable, "-c", "\n".join(lines)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return proc.stdout.split()
+
+
+def test_import_leaves_scipy_spatial_unloaded():
+    """scipy.spatial is imported by connectivity_penalty alone, on first
+    call; importing the package does not pay for it."""
+    assert run_fresh_python([
         "import sys",
         "import numpy as np",
         "import quadplan",
@@ -374,11 +383,36 @@ def test_import_leaves_scipy_spatial_unloaded():
         "print('scipy.spatial' in sys.modules)",
         "connectivity_penalty(HeuristicRegion(np.ones((2, 1, 1), dtype=np.float32)), 1.5)",
         "print('scipy.spatial' in sys.modules)",
-    ])
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr[-2000:]
-    assert proc.stdout.split() == ["False", "True"]
+    ]) == ["False", "True"]
+
+
+def test_default_pipeline_leaves_scipy_ndimage_unloaded():
+    """scipy.ndimage is imported by inflate, filter_region and is_connected
+    alone, on first call: importing the package and a default
+    plan_trajectory (no region, no inflation) do not pay for it, and the
+    three work once it is loaded."""
+    assert run_fresh_python([
+        "import sys",
+        "import numpy as np",
+        "import quadplan",
+        "from quadplan.grid import GoalRegion, OccupancyGrid, inflate",
+        "from quadplan.pipeline import PipelineConfig, plan_trajectory",
+        "from quadplan.planner import PlannerConfig",
+        "from quadplan.regions import filter_region, is_connected, oracle_region",
+        "print('scipy.ndimage' in sys.modules)",
+        "occ = np.zeros((10, 10, 10), dtype=bool)",
+        "occ[4:6, :7, :] = True",
+        "grid = OccupancyGrid(occ, 1.0)",
+        "goal = GoalRegion(np.array([8.5, 1.5, 5.5]), 1.5)",
+        "planner = PlannerConfig(step=2.0, goal=goal, max_iterations=5_000, target_cost=30.0)",
+        "result = plan_trajectory(grid, (1.5, 1.5, 5.5), goal, PipelineConfig(planner=planner))",
+        "print(result.stats.success, 'scipy.ndimage' in sys.modules)",
+        # The 2 x 7 x 10 wall grows one voxel along x and y: 4 x 8 x 10.
+        "print(int(inflate(grid, 1).occupancy.sum()))",
+        "ends = (1, 1, 5), (8, 1, 5)",
+        "region = filter_region(oracle_region(grid, *ends), grid, *ends)",
+        "print(is_connected(region, *ends), 'scipy.ndimage' in sys.modules)",
+    ]) == ["False", "True", "False", "320", "True", "True"]
 
 
 def test_safety_penalty_cases():
