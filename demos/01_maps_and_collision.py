@@ -17,7 +17,6 @@ from quadplan import (
     save_grid,
     segment_collision_free,
 )
-from quadplan.grid import segment_voxels
 
 # A seeded 20^3 map with 15-20 cuboid obstacles; the two corners we will fly
 # between are guaranteed free.
@@ -36,8 +35,6 @@ a = grid.index_to_world((1, 1, 1))
 b = grid.index_to_world((18, 18, 18))
 print(f"straight flight {a} -> {b}: "
       f"{'free' if segment_collision_free(grid, a, b) else 'blocked'}")
-voxels = segment_voxels(grid, a, b)
-print(f"the segment traverses {len(voxels)} voxels")
 
 # Obstacle inflation grows every obstacle by a Chebyshev radius, the usual
 # cheap stand-in for vehicle radius in the front-end search.

@@ -34,7 +34,6 @@ from .regions import (
     oracle_region,
     safety_penalty,
     save_region,
-    state_map,
 )
 from .planner import (
     PlannerConfig,
@@ -47,7 +46,6 @@ from .planner import (
     rewire_radius_bound,
     save_path,
     shrinking_radius,
-    steer,
 )
 from .trajectory import (
     BandedSystem,
@@ -63,7 +61,6 @@ from .trajectory import (
     control_effort,
     export_csv,
     load_trajectory,
-    poly_basis,
     save_trajectory,
     solve_bivp,
     trapezoidal_time_allocation,

@@ -17,10 +17,10 @@ from .planner import PlannerConfig
 from .regions import NoPathError
 from .trajectory import (
     BivpSpec,
+    PiecewisePolynomial,
     banded_plu_solve,
     build_banded_system,
     control_effort,
-    solve_bivp,
     trapezoidal_time_allocation,
 )
 
@@ -120,8 +120,8 @@ def run_trial(
     target_cost: float | None = None,
 ) -> TrialRecord:
     """Single seeded planning run plus back-end solve timings (s=3 and s=4)
-    on the resulting waypoints. Region sampling uses PlannerConfig's default
-    mu1 and mu2."""
+    on the resulting waypoints, and the control effort of the timed s=3
+    solution. Region sampling uses PlannerConfig's default mu1 and mu2."""
     cfg = PlannerConfig(
         step=step,
         goal=case.goal,
@@ -154,11 +154,11 @@ def run_trial(
             spec = BivpSpec.rest_to_rest(waypoints, durations, s)
             sys = build_banded_system(spec)
             t0 = time.perf_counter()
-            banded_plu_solve(sys)
+            c = banded_plu_solve(sys)
             setattr(rec, attr, 1e3 * (time.perf_counter() - t0))
-        rec.effort = control_effort(
-            solve_bivp(BivpSpec.rest_to_rest(waypoints, durations, 3))
-        )
+            if s == 3:
+                coeffs = c.reshape(spec.M, 2 * s, spec.m)
+                rec.effort = control_effort(PiecewisePolynomial(coeffs, spec.durations, s))
     return rec
 
 

@@ -138,47 +138,15 @@ class OccupancyGrid:
         return self.free_voxel_count() * self.resolution**3
 
 
-def segment_voxels(grid: OccupancyGrid, a, b) -> np.ndarray:
-    """Voxel indices traversed by segment a->b, as an (K,3) int array.
-    Indices may fall outside the grid; callers decide how to treat them.
-    Computed from the sorted face-crossing parameters of the segment,
-    evaluating the containing voxel at each inter-crossing midpoint (no
-    step-size dependence). The set is exact up to the rounding of those
-    parameters: where the segment passes through a voxel edge or corner,
-    crossings that are equal in exact arithmetic can round apart, and the
-    result then also lists a voxel the segment only touches (seen at
-    resolution 0.3).
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    d = b - a
-    ts = [np.array([0.0, 1.0])]
-    for ax in range(3):
-        if d[ax] != 0.0:
-            lo = (min(a[ax], b[ax]) - grid.origin[ax]) / grid.resolution
-            hi = (max(a[ax], b[ax]) - grid.origin[ax]) / grid.resolution
-            ks = np.arange(np.floor(lo) + 1.0, np.floor(hi) + 1.0)
-            if ks.size:
-                ts.append((grid.origin[ax] + ks * grid.resolution - a[ax]) / d[ax])
-    t = np.unique(np.concatenate(ts))
-    t = t[(t >= 0.0) & (t <= 1.0)]
-    if t.size < 2:
-        t = np.array([0.0, 1.0])
-    mids = 0.5 * (t[:-1] + t[1:])
-    pts = a[None, :] + mids[:, None] * d[None, :]
-    idx = np.floor((pts - grid.origin) / grid.resolution).astype(int)
-    return np.unique(idx, axis=0)
-
-
 def segment_collision_free(grid: OccupancyGrid, a, b) -> bool:
     """True iff every voxel traversed by segment a->b is in-bounds and free.
 
     An Amanatides-Woo grid walk in scalar math (the hot path), with the floor
-    convention of world_to_index and segment_voxels: it returns False on the
-    first occupied or out-of-bounds voxel, so on an empty grid (a convex box)
-    the verdict is whether both endpoints lie inside. A NaN or infinite
-    coordinate raises from math.floor. Unrolled per axis into plain locals:
-    on ties the walk steps x before y before z."""
+    convention of world_to_index: it returns False on the first occupied or
+    out-of-bounds voxel, so on an empty grid (a convex box) the verdict is
+    whether both endpoints lie inside. A NaN or infinite coordinate raises
+    from math.floor. Unrolled per axis into plain locals: on ties the walk
+    steps x before y before z."""
     occ = grid.occupancy
     nx, ny, nz = occ.shape
     lx, ly, lz = grid._lo

@@ -10,7 +10,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grid import GoalRegion, OccupancyGrid, inflate
+from .grid import GoalRegion, OccupancyGrid, inflate, segment_collision_free
 from .planner import PlannerConfig, PlanResult, PlanStats, plan
 from .regions import HeuristicRegion, filter_region, oracle_region
 from .trajectory import (
@@ -56,7 +56,7 @@ class PipelineConfig:
 class PipelineResult:
     trajectory: PiecewisePolynomial
     stats: PlanStats
-    path: np.ndarray  # front-end waypoints after pruning
+    path: np.ndarray  # front-end waypoints: pruned, unless that polyline collides
     cost: float
 
 
@@ -122,7 +122,11 @@ def plan_trajectory(
     """Full pipeline: inflation -> front end (region, RRT* in the given
     mode) -> waypoint pruning -> trapezoidal time allocation -> spline
     solve -> collision repair. The returned trajectory passes the exact
-    collision checker and reproduces the rest-to-rest boundary flags."""
+    collision checker and reproduces the rest-to-rest boundary flags.
+
+    Repair converges only from a collision-free polyline, and the chord that
+    replaces pruned vertices can cut a corner the front end's edges went
+    around; then the unpruned front-end path is solved instead."""
     planning_grid = inflate(grid, cfg.inflate_radius) if cfg.inflate_radius else grid
     result = plan_front_end(planning_grid, start, goal, cfg.planner, mode, region)
     if result.path is None:
@@ -131,6 +135,9 @@ def plan_trajectory(
     waypoints = prune_collinear(result.path)
     if len(waypoints) < 2:
         waypoints = np.array([result.path[0], result.path[-1]])
+    pts = waypoints.tolist()
+    if not all(segment_collision_free(grid, a, b) for a, b in zip(pts, pts[1:])):
+        waypoints = result.path
     durations = trapezoidal_time_allocation(waypoints, cfg.v_max, cfg.a_max)
     spec = BivpSpec.rest_to_rest(waypoints, durations, cfg.s)
     traj = collision_repair(solve_bivp(spec), spec, grid, cfg.v_max, cfg.a_max)

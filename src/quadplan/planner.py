@@ -50,8 +50,9 @@ def shrinking_radius(n: int, step: float, gamma_rrt: float, m: int = 3) -> float
 
 
 def _steer(nx, ny, nz, rx, ry, rz, step: float):
-    """Scalar core of steer: (x, y, z, truncated). Returns the sample itself,
-    truncated=False, when it lies within step of the near point."""
+    """RRT*'s steer on scalars: (x, y, z, truncated). The sample r itself,
+    truncated=False, when it lies within step of the near point n, else the
+    point at distance step from n toward r, truncated=True."""
     dx = rx - nx
     dy = ry - ny
     dz = rz - nz
@@ -62,17 +63,13 @@ def _steer(nx, ny, nz, rx, ry, rz, step: float):
     return nx + f * dx, ny + f * dy, nz + f * dz, True
 
 
-def steer(x_near, x_rand, step: float) -> np.ndarray:
-    """x_rand if within step of x_near, else the point at distance step
-    from x_near toward x_rand."""
-    x_near = np.asarray(x_near, dtype=float).tolist()
-    x_rand = np.asarray(x_rand, dtype=float).tolist()
-    return np.array(_steer(*x_near, *x_rand, step)[:3])
-
-
 def informed_sample(start, goal, c_best: float, bounds, rng: np.random.Generator) -> np.ndarray:
     """Uniform sample from the prolate hyperspheroid with foci start/goal and
     transverse diameter c_best, rejected to the (lower, upper) map bounds.
+
+    This is informed RRT*'s sampler once a solution of cost c_best exists.
+    plan calls it only then, with a generator of its own, so its normal and
+    uniform draws leave the block stream of every other sample unshifted.
 
     c_best = inf falls back to uniform over the bounds; c_best within 1e-12
     of the focal distance degenerates to the start-goal segment.
@@ -374,13 +371,15 @@ def plan(
 
     A region is required in heuristic mode and a ValueError in the others.
 
-    Uniform and heuristic modes draw their doubles from the generator in
-    blocks and use them in the order per-call draws would: three per uniform
+    Every mode draws its doubles from the generator of cfg.rng_seed in
+    blocks and uses them in the order per-call draws would: three per uniform
     sample; in heuristic mode one for the region test, then a voxel pick and
     three offsets, or three uniform ones. On PCG64 consecutive draws equal
     one larger draw, so the trees are those of per-call drawing, bit for bit.
-    Informed mode keeps per-call draws: after its first solution it also
-    calls rng.normal, whose stream a block drawn ahead would shift.
+    Informed mode takes uniform's draws until its first solution, so up to
+    then it builds uniform's tree, as informed RRT* is defined to; after it,
+    informed_sample draws from a second generator, spawned once per call
+    from SeedSequence(cfg.rng_seed), and the block stream is not read again.
 
     Iteration continues after the first solution until the best cost drops to
     cfg.target_cost (default: 1.05x the straight-line start-goal distance) or
@@ -424,6 +423,9 @@ def plan(
     lx, ly, lz = lower.tolist()
     sx, sy, sz = span.tolist()
     rng = np.random.default_rng(cfg.rng_seed)
+    informed = mode == "informed"
+    if informed:
+        ellipse_rng = np.random.default_rng(np.random.SeedSequence(cfg.rng_seed).spawn(1)[0])
     draws: list[float] = []
     pos = 0
 
@@ -435,11 +437,8 @@ def plan(
     t0 = time.perf_counter()
 
     for it in range(1, cfg.max_iterations + 1):
-        if mode == "informed":
-            if stats.success:
-                x_rand = informed_sample(start, tree.points[best], best_cost, (lower, upper), rng)
-            else:
-                x_rand = lower + rng.random(3) * span
+        if informed and stats.success:
+            x_rand = informed_sample(start, tree.points[best], best_cost, (lower, upper), ellipse_rng)
             rx, ry, rz = x_rand.tolist()
         else:
             if pos > len(draws) - 5:  # an iteration takes at most five

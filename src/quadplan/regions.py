@@ -83,19 +83,6 @@ class HeuristicRegion:
         return np.argwhere(self.values > 0.0)
 
 
-def state_map(dims, start_voxel, goal_voxel) -> np.ndarray:
-    """Binary map with 3x3x3 cubes of ones centered on start and goal,
-    clipped at the bounds."""
-    dims = tuple(int(d) for d in dims)
-    out = np.zeros(dims, dtype=np.float32)
-    for v in (start_voxel, goal_voxel):
-        v = np.asarray(v, dtype=int)
-        lo = np.maximum(v - 1, 0)
-        hi = np.minimum(v + 2, dims)
-        out[lo[0] : hi[0], lo[1] : hi[1], lo[2] : hi[2]] = 1.0
-    return out
-
-
 def astar_path(grid: OccupancyGrid, start, goal) -> np.ndarray:
     """Cost-minimal 26-connected grid path from start to goal voxel under
     Euclidean step costs, as an (L,3) int array of voxel indices.

@@ -87,14 +87,6 @@ def _basis_rows(tau, n: int, orders: int) -> np.ndarray:
     return factors * np.float_power(tau, exponents)
 
 
-def poly_basis(tau: float, s: int, k: int = 0) -> np.ndarray:
-    """k-th derivative of the monomial basis (1, x, ..., x^(2s-1)) at tau."""
-    n = 2 * s
-    if not 0 <= k <= n - 1:
-        raise ValueError("derivative order out of range")
-    return _basis_rows(tau, n, k + 1)[k]
-
-
 @dataclass
 class BivpSpec:
     """Boundary-intermediate value problem for an M-segment polynomial spline.
@@ -176,11 +168,6 @@ class BandedSystem:
     ku: int
     band: np.ndarray  # (2*kl + ku + 1, n)
     rhs: np.ndarray  # (n, m)
-
-    def set(self, i: int, j: int, v: float) -> None:
-        if not -self.kl <= i - j <= self.kl:  # ku == kl here
-            raise ValueError(f"entry ({i},{j}) outside the band")
-        self.band[self.kl + self.ku + i - j, j] = v
 
 
 @functools.lru_cache(maxsize=None)
@@ -340,9 +327,9 @@ class PiecewisePolynomial:
         i = min(bisect.bisect_right(knots, t) - 1, len(coeffs) - 1)
         factors, exponents = _basis_table(n, orders)
         basis = factors * np.float_power(t - knots[i], exponents)
-        # A stack of vector-matrix products sums each row as
-        # poly_basis(tau, s, k) @ coeffs[i] does; a 2-D basis @ coeffs
-        # product may sum in another order.
+        # A stack of vector-matrix products sums each row as one basis row
+        # @ coeffs[i] does; a 2-D basis @ coeffs product may sum in another
+        # order.
         return np.matmul(basis[:, None, :], coeffs[i])[:, 0, :]
 
     def eval(self, t: float, k: int = 0) -> np.ndarray:

@@ -195,11 +195,15 @@ def reference_build_banded_system(spec):
     kl = ku = 2 * s
     sys = BandedSystem(n, kl, ku, np.zeros((2 * kl + ku + 1, n)), np.zeros((n, m)))
 
+    def put(i, j, v):
+        assert -kl <= i - j <= ku, f"entry ({i},{j}) outside the band"
+        sys.band[kl + ku + i - j, j] = v
+
     def put_row(r, col, T, k):
         basis = reference_poly_basis(T, s, k)
         for j in range(2 * s):
             if basis[j] != 0.0:
-                sys.set(r, col + j, basis[j])
+                put(r, col + j, basis[j])
 
     for k in range(s):
         put_row(k, 0, 0.0, k)
@@ -213,7 +217,7 @@ def reference_build_banded_system(spec):
         r = s + (i - 1) * 2 * s
         for k in range(s, 2 * s - d_i):
             put_row(r, c_prev, T, k)
-            sys.set(r, c_next + k, -math.factorial(k))
+            put(r, c_next + k, -math.factorial(k))
             r += 1
         for k in range(d_i):
             put_row(r, c_prev, T, k)
@@ -221,13 +225,45 @@ def reference_build_banded_system(spec):
             r += 1
         for k in range(s):
             put_row(r, c_prev, T, k)
-            sys.set(r, c_next + k, -math.factorial(k))
+            put(r, c_next + k, -math.factorial(k))
             r += 1
     T = spec.durations[-1]
     for k in range(s):
         put_row(n - s + k, (M - 1) * 2 * s, T, k)
         sys.rhs[n - s + k] = spec.boundary_end[:, k]
     return sys
+
+
+def reference_segment_voxels(grid, a, b):
+    """Voxel indices traversed by segment a->b, as an (K,3) int array: a
+    second traversal beside grid.segment_collision_free's walk. Indices may
+    fall outside the grid; callers decide how to treat them. Computed from the sorted face-crossing parameters of the segment,
+    evaluating the containing voxel at each inter-crossing midpoint (no
+    step-size dependence). The set is exact up to the rounding of those
+    parameters: where the segment passes through a voxel edge or corner,
+    crossings that are equal in exact arithmetic can round apart, and the
+    result then also lists a voxel the segment only touches (seen at
+    resolution 0.3).
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    d = b - a
+    ts = [np.array([0.0, 1.0])]
+    for ax in range(3):
+        if d[ax] != 0.0:
+            lo = (min(a[ax], b[ax]) - grid.origin[ax]) / grid.resolution
+            hi = (max(a[ax], b[ax]) - grid.origin[ax]) / grid.resolution
+            ks = np.arange(np.floor(lo) + 1.0, np.floor(hi) + 1.0)
+            if ks.size:
+                ts.append((grid.origin[ax] + ks * grid.resolution - a[ax]) / d[ax])
+    t = np.unique(np.concatenate(ts))
+    t = t[(t >= 0.0) & (t <= 1.0)]
+    if t.size < 2:
+        t = np.array([0.0, 1.0])
+    mids = 0.5 * (t[:-1] + t[1:])
+    pts = a[None, :] + mids[:, None] * d[None, :]
+    idx = np.floor((pts - grid.origin) / grid.resolution).astype(int)
+    return np.unique(idx, axis=0)
 
 
 _ASTAR_OFFSETS = np.array(
@@ -349,7 +385,7 @@ def reference_extend_and_rewire(tree, x_new, grid, radius, d2):
 
 
 def reference_steer(x_near, x_rand, step):
-    """planner.steer as array arithmetic on 3-vectors."""
+    """planner._steer's point as array arithmetic on 3-vectors."""
     x_near = np.asarray(x_near, dtype=float)
     x_rand = np.asarray(x_rand, dtype=float)
     d = x_rand - x_near
@@ -379,11 +415,12 @@ class ReferenceRegionSampler:
 
 def reference_plan(grid, start, cfg, mode="uniform", region=None):
     """planner.plan drawing from the generator once per sample in every
-    mode, finding the nearest vertex with einsum on a C-contiguous copy of
-    the points, steering with reference_steer, extending with
-    reference_extend_and_rewire and recomputing the best goal vertex after
-    every vertex added. Must build the identical tree, path, cost and
-    statistics for the same inputs."""
+    mode (informed samples after the first solution from a second generator
+    spawned from the seed, as plan does), finding the nearest vertex with
+    einsum on a C-contiguous copy of the points, steering with
+    reference_steer, extending with reference_extend_and_rewire and
+    recomputing the best goal vertex after every vertex added. Must build
+    the identical tree, path, cost and statistics for the same inputs."""
     start = np.asarray(start, dtype=float)
     if mode == "heuristic":
         region_sampler = ReferenceRegionSampler(region, grid.origin, grid.resolution)
@@ -396,6 +433,7 @@ def reference_plan(grid, start, cfg, mode="uniform", region=None):
     lower, upper = grid.lower, grid.upper
     span = upper - lower
     rng = np.random.default_rng(cfg.rng_seed)
+    ellipse_rng = np.random.default_rng(np.random.SeedSequence(cfg.rng_seed).spawn(1)[0])
 
     tree = SearchTree(start)
     goal_vertices = []
@@ -411,7 +449,9 @@ def reference_plan(grid, start, cfg, mode="uniform", region=None):
             else:
                 x_rand = lower + rng.random(3) * span
         elif mode == "informed" and stats.success:
-            x_rand = informed_sample(start, tree.points[best], best_cost, (lower, upper), rng)
+            x_rand = informed_sample(
+                start, tree.points[best], best_cost, (lower, upper), ellipse_rng
+            )
         else:
             x_rand = lower + rng.random(3) * span
 

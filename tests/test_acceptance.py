@@ -36,7 +36,7 @@ from quadplan.trajectory import (
     trapezoidal_time_allocation,
 )
 
-from oracles import dense_solve_bivp, random_bivp_spec
+from oracles import dense_solve_bivp, random_bivp_spec, reference_poly_basis
 
 
 def report(num, description, ok):
@@ -110,13 +110,11 @@ def test_criterion_03_continuity_and_optimality():
         traj = solve_bivp(spec)
 
         # Joint continuity up to order 2s-2 for d_i = 1.
-        from quadplan.trajectory import poly_basis
-
         for i in range(1, M):
             T = durations[i - 1]
             for k in range(2 * s - 1):
-                left = poly_basis(T, s, k) @ traj.coeffs[i - 1]
-                right = poly_basis(0.0, s, k) @ traj.coeffs[i]
+                left = reference_poly_basis(T, s, k) @ traj.coeffs[i - 1]
+                right = reference_poly_basis(0.0, s, k) @ traj.coeffs[i]
                 mag = 1.0 + max(np.abs(left).max(), np.abs(right).max())
                 max_jump = max(max_jump, float(np.abs(left - right).max() / mag))
 

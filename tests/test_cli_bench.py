@@ -18,10 +18,17 @@ from quadplan.bench import (
 )
 from quadplan.cli import main
 from quadplan.grid import GoalRegion, load_grid
-from quadplan.pipeline import PipelineConfig, plan_trajectory
+from quadplan.pipeline import PipelineConfig, plan_front_end, plan_trajectory, prune_collinear
 from quadplan.planner import PlannerConfig
 from quadplan.regions import load_region, oracle_region
-from quadplan.trajectory import load_trajectory, save_trajectory
+from quadplan.trajectory import (
+    BivpSpec,
+    control_effort,
+    load_trajectory,
+    save_trajectory,
+    solve_bivp,
+    trapezoidal_time_allocation,
+)
 
 
 # ----------------------------------------------------------------------- bench
@@ -136,6 +143,13 @@ def test_run_trial_solve_timings():
     assert rec.jerk_solve_ms >= 0.0 and rec.snap_solve_ms >= 0.0
     assert rec.effort > 0.0
     assert math.isfinite(rec.final_cost)
+    # The effort comes from the timed s=3 solve, and equals that of the
+    # pipeline's own solve of the same waypoints.
+    cfg = PlannerConfig(step=2.0, goal=case.goal, max_iterations=30000, target_cost=1e18,
+                        rng_seed=1)
+    waypoints = prune_collinear(plan_front_end(case.grid, case.start, case.goal, cfg).path)
+    spec = BivpSpec.rest_to_rest(waypoints, trapezoidal_time_allocation(waypoints, 2.0, 1.0), 3)
+    assert repr(rec.effort) == repr(control_effort(solve_bivp(spec)))
 
 
 # ------------------------------------------------------------------------- CLI

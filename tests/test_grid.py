@@ -17,8 +17,9 @@ from quadplan.grid import (
     random_cluttered_map,
     save_grid,
     segment_collision_free,
-    segment_voxels,
 )
+
+from oracles import reference_segment_voxels
 
 
 def empty_grid(side=10, resolution=1.0, origin=(0.0, 0.0, 0.0)):
@@ -170,7 +171,7 @@ def test_segment_collision_symmetry():
 
 def test_segment_voxels_degenerate():
     g = empty_grid(10)
-    idx = segment_voxels(g, (2.5, 2.5, 2.5), (2.5, 2.5, 2.5))
+    idx = reference_segment_voxels(g, (2.5, 2.5, 2.5), (2.5, 2.5, 2.5))
     assert idx.shape == (1, 3)
     assert tuple(idx[0]) == (2, 2, 2)
 
@@ -207,7 +208,7 @@ def test_walker_agrees_with_traversal_set():
     for _ in range(2000):
         a = rng.uniform(-2, 32, 3)
         b = a + rng.uniform(-6, 6, 3)
-        idx = segment_voxels(g, a, b)
+        idx = reference_segment_voxels(g, a, b)
         ref = bool(
             np.all(idx >= 0)
             and np.all(idx < dims)
@@ -223,7 +224,7 @@ def test_walker_agrees_with_traversal_set():
 # a point with one, two or three even coordinates sits on a face, an edge or
 # a corner. The walk's checked voxels are found by probing (an obstacle at v
 # alone blocks the segment iff the walk checks v) and compared with
-# segment_voxels and with the voxels the closed segment touches.
+# reference_segment_voxels and with the voxels the closed segment touches.
 
 _EDGE_DIMS = (6, 6, 6)
 _EDGE_GRIDS = [(0.5, (-1.5, 0.25, 2.0)), (0.3, (-1.2, 0.7, 2.1))]
@@ -281,12 +282,13 @@ def test_walker_edge_cases_against_segment_voxels(res, origin):
         a = origin_arr + np.asarray(ka) * (res / 2)
         b = origin_arr + np.asarray(kb) * (res / 2)
         walked = _walked(res, origin, a, b)
-        sv = {tuple(int(c) for c in v) for v in segment_voxels(empty, a, b)}
+        sv = {tuple(int(c) for c in v) for v in reference_segment_voxels(empty, a, b)}
         fa, fb = empty.world_to_index(a), empty.world_to_index(b)
         msg = (kind, tuple(ka), tuple(kb))
         # Every voxel the segment passes through is checked. At 0.3 the
-        # crossing parameters of segment_voxels round, so a segment through
-        # an edge may list a voxel it only touches; those are left out.
+        # crossing parameters of reference_segment_voxels round, so a
+        # segment through an edge may list a voxel it only touches; those
+        # are left out.
         inside = _touched(res, origin, a, b, -eps)
         assert inside <= walked, msg
         if res == 0.5:

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import workloads as W
 
 from quadplan.grid import (
     GoalRegion,
@@ -287,3 +288,20 @@ def test_yaw_samples_hold_last():
     assert ys[0] == 0.0
     assert ys[-1] == pytest.approx(0.0, abs=1e-9)
     assert np.allclose(ys, 0.0, atol=1e-9)
+
+
+def test_colliding_pruned_polyline_falls_back_to_the_front_end_path():
+    """pipeline seed 24, input 375 (cube38-375): pruning replaces front-end
+    vertices by a chord that cuts an obstacle, and repair, which converges
+    only from a collision-free polyline, split segments until the banded
+    solve went singular. The unpruned path repairs and passes the
+    benchmark's dense check."""
+    wl = W.Pipeline()
+    inp = wl.inputs(24)[375]
+    c = inp.case
+    front = plan_front_end(c.grid, c.start, c.goal, wl.config(inp).planner)
+    pruned = prune_collinear(front.path)
+    assert not all(segment_collision_free(c.grid, a, b) for a, b in zip(pruned[:-1], pruned[1:]))
+    out = wl.op(inp)
+    assert np.array_equal(out.path, front.path)
+    wl.check(inp, out)

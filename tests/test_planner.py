@@ -27,7 +27,6 @@ from quadplan.planner import (
     rewire_radius_bound,
     save_path,
     shrinking_radius,
-    steer,
 )
 from quadplan.regions import filter_region, oracle_region
 
@@ -84,9 +83,10 @@ def test_shrinking_radius():
 
 
 def test_steer():
-    assert np.allclose(steer((0, 0, 0), (0.3, 0.4, 0.0), 1.0), (0.3, 0.4, 0.0))
-    assert np.allclose(steer((0, 0, 0), (2, 0, 0), 1.0), (1, 0, 0))
-    assert np.allclose(steer((1, 1, 1), (1, 1, 1), 1.0), (1, 1, 1))
+    steer = planner._steer
+    assert np.allclose(steer(0, 0, 0, 0.3, 0.4, 0.0, 1.0), (0.3, 0.4, 0.0, False))
+    assert np.allclose(steer(0, 0, 0, 2, 0, 0, 1.0), (1, 0, 0, True))
+    assert np.allclose(steer(1, 1, 1, 1, 1, 1, 1.0), (1, 1, 1, False))
 
 
 def test_steer_bit_exact_against_reference():
@@ -102,10 +102,11 @@ def test_steer_bit_exact_against_reference():
         cases.append((a, b, math.sqrt(d[0] * d[0] + d[1] * d[1] + d[2] * d[2])))
         cases.append((a, a.copy(), 1.0))  # zero length
     for a, b, step in cases:
-        got = steer(a, b, step)
+        *got, truncated = planner._steer(*a.tolist(), *b.tolist(), step)
         want = reference_steer(a, b, step)
-        assert isinstance(got, np.ndarray) and got.shape == (3,)
-        assert got.tolist() == want.tolist(), (a, b, step)
+        d = b - a
+        assert got == want.tolist(), (a, b, step)
+        assert truncated == (math.sqrt(d[0] * d[0] + d[1] * d[1] + d[2] * d[2]) > step)
 
 
 # ------------------------------------------------------------- informed sample
@@ -387,6 +388,27 @@ def test_plan_trees_match_reference_plan():
                 assert got[3:] == want[3:], (n, mode, target)
                 solved[mode] += got[3]["success"]
     assert min(solved.values()) >= 20, solved
+
+
+def test_informed_matches_uniform_until_first_solution():
+    """Informed RRT* is RRT* until it has a solution. With an infinite
+    target both modes stop at their first solution, so on the tree-identity
+    cases they build the same tree, path, cost and statistics, bit for bit;
+    a run with no solution runs its whole budget the same way."""
+    solved = 0
+    for n, (grid, s_vox, g_vox, step) in enumerate(_identity_cases()):
+        start = grid.index_to_world(s_vox)
+        goal = goal_at(grid.index_to_world(g_vox), 1.5 * step)
+        cfg = PlannerConfig(step=step, goal=goal, max_iterations=600,
+                            target_cost=math.inf, rng_seed=n)
+        want = _result_state(plan(grid, start, cfg, mode="uniform"))
+        got = _result_state(plan(grid, start, cfg, mode="informed"))
+        assert np.array_equal(got[0], want[0]), n
+        assert got[1] == want[1], n
+        assert np.array_equal(got[2], want[2]), n
+        assert got[3:] == want[3:], n
+        solved += got[3]["success"]
+    assert solved >= 15, solved
 
 
 def test_extend_across_capacity_doubling():

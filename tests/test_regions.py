@@ -28,7 +28,6 @@ from quadplan.regions import (
     oracle_region,
     safety_penalty,
     save_region,
-    state_map,
 )
 
 from oracles import ReferenceRegionSampler, reference_astar_path, reference_dilate_path
@@ -90,14 +89,6 @@ def test_region_validation():
     r = HeuristicRegion(np.ones((2, 2, 2), dtype=np.float32))
     assert r.dims == (2, 2, 2)
     assert r.member_indices().shape == (8, 3)
-
-
-def test_state_map():
-    sm = state_map((8, 8, 8), (3, 3, 3), (7, 7, 7))
-    # Interior start cube has 27 ones; corner goal cube is clipped to 2^3 = 8.
-    assert np.count_nonzero(sm) == 27 + 8
-    assert sm[3, 3, 3] == 1.0 and sm[7, 7, 7] == 1.0
-    assert sm[0, 0, 0] == 0.0
 
 
 # -------------------------------------------------------------------------- A*
