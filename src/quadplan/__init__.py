@@ -26,7 +26,6 @@ from .regions import (
     RegionSampler,
     astar_path,
     connectivity_penalty,
-    dilate_path,
     filter_region,
     is_connected,
     is_safe,

@@ -15,14 +15,7 @@ from .grid import GoalRegion, OccupancyGrid, ObstacleSpec, random_cluttered_map
 from .pipeline import plan_front_end, prune_collinear
 from .planner import PlannerConfig
 from .regions import NoPathError
-from .trajectory import (
-    BivpSpec,
-    PiecewisePolynomial,
-    banded_plu_solve,
-    build_banded_system,
-    control_effort,
-    trapezoidal_time_allocation,
-)
+from .trajectory import BivpSpec, control_effort, solve_bivp, trapezoidal_time_allocation
 
 
 @dataclass
@@ -119,9 +112,10 @@ def run_trial(
     max_iterations: int = 30000,
     target_cost: float | None = None,
 ) -> TrialRecord:
-    """Single seeded planning run plus back-end solve timings (s=3 and s=4)
-    on the resulting waypoints, and the control effort of the timed s=3
-    solution. Region sampling uses PlannerConfig's default mu1 and mu2."""
+    """Single seeded planning run plus back-end solve timings (s=3 and s=4,
+    assembly included) on the resulting waypoints, and the control effort of
+    the timed s=3 solution. Region sampling uses PlannerConfig's default mu1
+    and mu2."""
     cfg = PlannerConfig(
         step=step,
         goal=case.goal,
@@ -148,17 +142,14 @@ def run_trial(
     rec.final_cost = result.cost
 
     waypoints = prune_collinear(result.path)
-    if len(waypoints) >= 2:
-        durations = trapezoidal_time_allocation(waypoints, 2.0, 1.0)
-        for s, attr in ((3, "jerk_solve_ms"), (4, "snap_solve_ms")):
-            spec = BivpSpec.rest_to_rest(waypoints, durations, s)
-            sys = build_banded_system(spec)
-            t0 = time.perf_counter()
-            c = banded_plu_solve(sys)
-            setattr(rec, attr, 1e3 * (time.perf_counter() - t0))
-            if s == 3:
-                coeffs = c.reshape(spec.M, 2 * s, spec.m)
-                rec.effort = control_effort(PiecewisePolynomial(coeffs, spec.durations, s))
+    durations = trapezoidal_time_allocation(waypoints, 2.0, 1.0)
+    for s, attr in ((3, "jerk_solve_ms"), (4, "snap_solve_ms")):
+        spec = BivpSpec.rest_to_rest(waypoints, durations, s)
+        t0 = time.perf_counter()
+        traj = solve_bivp(spec)
+        setattr(rec, attr, 1e3 * (time.perf_counter() - t0))
+        if s == 3:
+            rec.effort = control_effort(traj)
     return rec
 
 

@@ -46,8 +46,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="trajectory output file")
     p.add_argument("--path-out", help="optional waypoint path output file")
 
-    b = sub.add_parser("bench", help="Monte Carlo planner comparison")
-    b.add_argument("--preset", default="paperlike")
+    b = sub.add_parser("bench", help="Monte Carlo planner comparison on paperlike maps")
     b.add_argument("--n-maps", type=int, default=20)
     b.add_argument("--modes", default="heuristic,uniform")
     b.add_argument("--trials", type=int, default=50)
@@ -114,9 +113,6 @@ def _cmd_plan(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    if args.preset != "paperlike":
-        print(f"unknown preset {args.preset!r}", file=sys.stderr)
-        return 1
     cases = bench_mod.paperlike_maps(args.n_maps, seed=args.seed)
     modes = [m.strip() for m in args.modes.split(",") if m.strip()]
     report = bench_mod.run_benchmark(

@@ -27,12 +27,13 @@ class PlacementError(Exception):
     """Obstacle placement failed within the retry budget (over-dense spec)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GoalRegion:
     """Spherical goal set: reached when ||x - center|| < radius.
 
     center is a read-only copy of the array given, so a later write by the
-    caller moves neither it nor the float tuple that contains reads.
+    caller moves neither it nor the float tuple that contains reads. Two
+    goals are equal, and hash alike, when that tuple and the radius are.
     """
 
     center: np.ndarray
@@ -48,6 +49,14 @@ class GoalRegion:
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "_xyz", tuple(center.tolist()))
 
+    def __eq__(self, other):
+        if not isinstance(other, GoalRegion):
+            return NotImplemented
+        return (self._xyz, self.radius) == (other._xyz, other.radius)
+
+    def __hash__(self):
+        return hash((self._xyz, self.radius))
+
     def contains(self, p) -> bool:
         cx, cy, cz = self._xyz
         dx = float(p[0]) - cx
@@ -60,9 +69,11 @@ class GoalRegion:
 class OccupancyGrid:
     """Dense boolean voxel grid. True = obstacle. Immutable after construction.
 
-    World/index convention: voxel (i,j,k) covers the half-open box
-    [origin + idx*resolution, origin + (idx+1)*resolution); a point exactly on
-    a voxel's upper face belongs to the next voxel (floor convention).
+    World/index convention: point p lies in voxel floor((p - origin) * inv)
+    per axis, with inv = 1 / resolution, on Python floats. That is about the
+    half-open box [origin + idx*resolution, origin + (idx+1)*resolution), so
+    a point on a voxel's upper face lies in the next voxel. world_to_index,
+    the voxel walk and collision repair all use this one map.
     """
 
     occupancy: np.ndarray
@@ -82,8 +93,9 @@ class OccupancyGrid:
         object.__setattr__(self, "occupancy", occ)
         object.__setattr__(self, "origin", origin)
         object.__setattr__(self, "resolution", float(self.resolution))
-        # Plain-float origin for the scalar voxel walk.
-        object.__setattr__(self, "_lo", tuple(float(v) for v in origin))
+        # Plain-float origin and inverse resolution: the voxel map's inputs.
+        object.__setattr__(self, "_lo", tuple(origin.tolist()))
+        object.__setattr__(self, "_inv", 1.0 / self.resolution)
 
     def __eq__(self, other):
         if not isinstance(other, OccupancyGrid):
@@ -108,12 +120,18 @@ class OccupancyGrid:
         return self.origin + np.asarray(self.dims) * self.resolution
 
     def world_to_index(self, p) -> tuple[int, int, int] | None:
-        """Voxel index containing world point p, or None when out of bounds."""
-        p = np.asarray(p, dtype=float)
-        idx = np.floor((p - self.origin) / self.resolution).astype(int)
-        if np.any(idx < 0) or np.any(idx >= self.dims):
+        """Voxel index of world point p by the grid's voxel map, or None when
+        out of bounds or not finite: bounds are tested before the cast (a NaN
+        fails them), and int truncation is floor for u >= 0."""
+        lx, ly, lz = self._lo
+        inv = self._inv
+        nx, ny, nz = self.occupancy.shape
+        ux = (float(p[0]) - lx) * inv
+        uy = (float(p[1]) - ly) * inv
+        uz = (float(p[2]) - lz) * inv
+        if not (0.0 <= ux < nx and 0.0 <= uy < ny and 0.0 <= uz < nz):
             return None
-        return (int(idx[0]), int(idx[1]), int(idx[2]))
+        return (int(ux), int(uy), int(uz))
 
     def index_to_world(self, idx) -> np.ndarray:
         """World coordinates of the voxel center."""
@@ -141,8 +159,8 @@ class OccupancyGrid:
 def segment_collision_free(grid: OccupancyGrid, a, b) -> bool:
     """True iff every voxel traversed by segment a->b is in-bounds and free.
 
-    An Amanatides-Woo grid walk in scalar math (the hot path), with the floor
-    convention of world_to_index: it returns False on the first occupied or
+    An Amanatides-Woo grid walk in scalar math (the hot path), with the voxel
+    map of OccupancyGrid: it returns False on the first occupied or
     out-of-bounds voxel, so on an empty grid (a convex box) the verdict is
     whether both endpoints lie inside. A NaN or infinite coordinate raises
     from math.floor. Unrolled per axis into plain locals: on ties the walk
@@ -150,7 +168,7 @@ def segment_collision_free(grid: OccupancyGrid, a, b) -> bool:
     occ = grid.occupancy
     nx, ny, nz = occ.shape
     lx, ly, lz = grid._lo
-    inv = 1.0 / grid.resolution
+    inv = grid._inv
     # Voxel-space coordinates of both endpoints.
     ux = (float(a[0]) - lx) * inv
     uy = (float(a[1]) - ly) * inv

@@ -133,8 +133,6 @@ def plan_trajectory(
         raise PlanningFailure(f"no path within {cfg.planner.max_iterations} iterations")
 
     waypoints = prune_collinear(result.path)
-    if len(waypoints) < 2:
-        waypoints = np.array([result.path[0], result.path[-1]])
     pts = waypoints.tolist()
     if not all(segment_collision_free(grid, a, b) for a, b in zip(pts, pts[1:])):
         waypoints = result.path
@@ -144,11 +142,10 @@ def plan_trajectory(
     return PipelineResult(traj, result.stats, waypoints, result.cost)
 
 
-def flat_flag_at(traj: PiecewisePolynomial, t: float, s: int | None = None) -> np.ndarray:
-    """Stacked output and derivatives up to order s-1 at time t, shape (m, s):
-    column k is the k-th derivative."""
-    s = traj.s if s is None else s
-    return np.ascontiguousarray(traj.derivatives(t, s).T)
+def flat_flag_at(traj: PiecewisePolynomial, t: float) -> np.ndarray:
+    """Stacked output and derivatives up to order traj.s-1 at time t, shape
+    (m, s): column k is the k-th derivative."""
+    return np.ascontiguousarray(traj.derivatives(t, traj.s).T)
 
 
 def yaw_profile(traj: PiecewisePolynomial, t: float, last_yaw: float = 0.0) -> float:

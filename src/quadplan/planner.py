@@ -71,12 +71,12 @@ def informed_sample(start, goal, c_best: float, bounds, rng: np.random.Generator
     plan calls it only then, with a generator of its own, so its normal and
     uniform draws leave the block stream of every other sample unshifted.
 
-    c_best = inf falls back to uniform over the bounds; c_best within 1e-12
-    of the focal distance degenerates to the start-goal segment.
+    A non-finite c_best is a ValueError; c_best within 1e-12 of the focal
+    distance degenerates to the start-goal segment.
     """
+    if not math.isfinite(c_best):
+        raise ValueError(f"c_best must be finite, got {c_best}")
     lower, upper = (np.asarray(b, dtype=float) for b in bounds)
-    if not np.isfinite(c_best):
-        return lower + rng.random(3) * (upper - lower)
     start = np.asarray(start, dtype=float)
     goal = np.asarray(goal, dtype=float)
     c_min = float(np.linalg.norm(goal - start))

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .grid import OccupancyGrid, segment_collision_free
 
@@ -36,6 +35,8 @@ class DomainError(ValueError):
 
 
 _PIVOT_TOL = 1e-12
+# Re-solves collision_repair makes before RepairExhaustedError.
+_MAX_REPAIR_ROUNDS = 30
 
 
 def trapezoidal_time_allocation(waypoints, v_max: float, a_max: float) -> np.ndarray:
@@ -243,6 +244,10 @@ def banded_plu_solve(sys: BandedSystem) -> np.ndarray:
     """Solve A c = b by banded PLU with partial pivoting inside the band;
     O(M) work and storage for fixed s. Raises SingularSystemError when a
     pivot magnitude falls below 1e-12."""
+    # Imported here: scipy.linalg costs about 200 ms and 25 MB on import,
+    # and a planner run that never solves should not pay for it.
+    from scipy.linalg import lapack
+
     lu, ipiv, info = lapack.dgbtrf(sys.band, sys.kl, sys.ku)
     if info < 0:
         raise ValueError(f"illegal argument {-info} to banded factorization")
@@ -260,8 +265,10 @@ class PiecewisePolynomial:
     """M segments of degree 2s-1 over local time tau in [0, T_i].
 
     coeffs[i, j, :] is the m-vector coefficient of tau^j on segment i.
-    durations is a read-only copy of the given array, so the knots and total
-    duration computed here stay valid.
+    durations is a read-only copy of the given array, so the knots computed
+    here stay valid. The last knot, their cumulative sum, is the end time:
+    the domain is [0, knots[-1]], and segment i covers [knots[i],
+    knots[i+1]), the last segment closed.
     """
 
     coeffs: np.ndarray  # (M, 2s, m)
@@ -283,7 +290,6 @@ class PiecewisePolynomial:
         knots.setflags(write=False)
         object.__setattr__(self, "_knots", knots)
         object.__setattr__(self, "_knot_list", knots.tolist())
-        object.__setattr__(self, "_total", float(np.sum(durations)))
 
     @property
     def M(self) -> int:
@@ -300,29 +306,21 @@ class PiecewisePolynomial:
 
     @property
     def total_duration(self) -> float:
-        return self._total
-
-    def segment_of(self, t: float) -> tuple[int, float]:
-        """Segment index and local time; right-open intervals, last closed."""
-        total = self._total
-        if not 0.0 <= t <= total:
-            raise DomainError(f"t={t} outside [0, {total}]")
-        i = min(bisect.bisect_right(self._knot_list, t) - 1, self.M - 1)
-        return i, t - self._knots[i]
+        """The end time, knots[-1]."""
+        return self._knot_list[-1]
 
     def derivatives(self, t: float, orders: int) -> np.ndarray:
         """Derivatives 0..orders-1 of the trajectory at global time t, as an
         (orders, m) array whose row k is eval(t, k). Needs 1 <= orders <= 2s.
 
-        The segment lookup of segment_of and the basis of _basis_rows are
-        inlined: flat-flag sampling calls this once per sample."""
-        total = self._total
-        if not 0.0 <= t <= total:
-            raise DomainError(f"t={t} outside [0, {total}]")
+        The basis of _basis_rows is inlined: flat-flag sampling calls this
+        once per sample."""
+        knots = self._knot_list
+        if not 0.0 <= t <= knots[-1]:
+            raise DomainError(f"t={t} outside [0, {knots[-1]}]")
         n = 2 * self.s
         if not 1 <= orders <= n:
             raise ValueError("derivative order out of range")
-        knots = self._knot_list
         coeffs = self.coeffs
         i = min(bisect.bisect_right(knots, t) - 1, len(coeffs) - 1)
         factors, exponents = _basis_table(n, orders)
@@ -335,11 +333,6 @@ class PiecewisePolynomial:
     def eval(self, t: float, k: int = 0) -> np.ndarray:
         """k-th derivative of the trajectory at global time t (m-vector)."""
         return self.derivatives(t, k + 1)[k]
-
-    def waypoints(self) -> np.ndarray:
-        """Positions at the segment knots, (M+1, m)."""
-        total = self._total
-        return np.array([self.eval(min(t, total)) for t in self._knot_list])
 
 
 def solve_bivp(spec: BivpSpec) -> PiecewisePolynomial:
@@ -387,7 +380,6 @@ def collision_repair(
     grid: OccupancyGrid,
     v_max: float,
     a_max: float,
-    max_rounds: int = 30,
 ) -> PiecewisePolynomial:
     """Iteratively insert straight-line midpoints into colliding segments and
     re-solve until the densely sampled trajectory is collision-free.
@@ -397,17 +389,19 @@ def collision_repair(
     with the exact voxel traversal's verdicts so no voxel can be skipped. Most
     chords get that verdict from their two endpoint voxels alone; only those
     between free voxels that cross two or more voxel faces run the walk (see
-    _colliding_segments). A non-finite sample raises ValueError.
+    _colliding_segments). A non-finite sample raises ValueError, and
+    segments still colliding after _MAX_REPAIR_ROUNDS re-solves raise
+    RepairExhaustedError.
     """
     # An infinite v_max makes the sample step 0, a NaN one makes it NaN.
     if not (v_max > 0 and math.isfinite(v_max)):
         raise ValueError("v_max must be positive and finite")
     dt = grid.resolution / (2.0 * v_max)
-    for _ in range(max_rounds + 1):
+    for _ in range(_MAX_REPAIR_ROUNDS + 1):
         colliding = _colliding_segments(traj, grid, dt)
         if not colliding:
             return traj
-        if _ == max_rounds:
+        if _ == _MAX_REPAIR_ROUNDS:
             break
         # Original joints keep their conditions; midpoints pin position only.
         waypoints = [spec.waypoints[0]]
@@ -424,7 +418,7 @@ def collision_repair(
         durations = trapezoidal_time_allocation(waypoints, v_max, a_max)
         spec = replace(spec, waypoints=waypoints, durations=durations, intermediate=intermediate)
         traj = solve_bivp(spec)
-    raise RepairExhaustedError(f"segments still collide after {max_rounds} rounds")
+    raise RepairExhaustedError(f"segments still collide after {_MAX_REPAIR_ROUNDS} rounds")
 
 
 def _colliding_segments(traj: PiecewisePolynomial, grid: OccupancyGrid, dt: float) -> set[int]:
@@ -434,9 +428,9 @@ def _colliding_segments(traj: PiecewisePolynomial, grid: OccupancyGrid, dt: floa
     All segments are sampled in one pass. Segment i's samples are those of
     np.linspace(t0, t1, c) with c = max(2, ceil((t1 - t0) / dt) + 1): the
     times k * step + t0 with step = (t1 - t0) / (c - 1), the last set to t1.
-    They are evaluated with the segment lookup of PiecewisePolynomial.
-    segment_of (a sample on a knot belongs to the next segment), row 0 of the
-    basis table and one stacked matmul, so the points equal eval's.
+    They are evaluated with eval's segment lookup (a sample on a knot belongs
+    to the next segment), row 0 of the basis table and one stacked matmul, so
+    the points equal eval's.
 
     Most chords are judged from their two endpoint voxels, computed with the
     walk's own operations: the walk visits both, so a chord with an endpoint
@@ -455,14 +449,13 @@ def _colliding_segments(traj: PiecewisePolynomial, grid: OccupancyGrid, dt: floa
     k = np.arange(ends[-1]) - (ends - counts)[owner]
     ts = k * (delta / (counts - 1))[owner] + t0[owner]
     ts[ends - 1] = knots[1:]
-    ts = np.minimum(ts, traj.total_duration)
     seg = np.minimum(np.searchsorted(knots, ts, side="right") - 1, M - 1)
     basis = _basis_rows((ts - knots[seg])[:, None], 2 * traj.s, 1)
     # Non-finite coefficients make inf * 0 or overflow here; the check below
     # reports them.
     with np.errstate(invalid="ignore", over="ignore"):
         pts = np.matmul(basis[:, None, :], traj.coeffs[seg])[:, 0, :]
-        u = (pts - grid.origin) * (1.0 / grid.resolution)
+        u = (pts - grid._lo) * grid._inv
     if not np.isfinite(u).all():
         raise ValueError("trajectory sample or its voxel coordinates not finite")
 

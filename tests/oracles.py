@@ -2,13 +2,18 @@
 tests. Everything here is deliberately written along a different route than
 the library code: dense matrices instead of band storage, numpy polynomial
 calculus instead of closed-form sums, natural row ordering instead of the
-bandwidth-minimizing one."""
+bandwidth-minimizing one. The tests' shared helpers live here too: random
+BIVP specs and a fresh-interpreter runner."""
 
 import functools
 import heapq
 import itertools
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 from scipy import ndimage
@@ -23,6 +28,18 @@ from quadplan.planner import (
     shrinking_radius,
 )
 from quadplan.trajectory import BandedSystem
+
+
+def run_fresh_python(lines):
+    """Standard output of the lines run in a fresh interpreter that imports
+    quadplan from this checkout, split into words."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(src), *filter(None, [env.get("PYTHONPATH")])])
+    proc = subprocess.run([sys.executable, "-c", "\n".join(lines)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return proc.stdout.split()
 
 
 @functools.lru_cache(maxsize=None)
@@ -176,12 +193,12 @@ def reference_poly_basis(tau, s, k):
 
 def reference_eval(traj, t, k):
     """PiecewisePolynomial.eval as it was before the basis table: segment by
-    np.searchsorted on freshly summed knots (right-open, last closed), then
-    one vector-matrix product with a reference_poly_basis row."""
-    total = float(np.sum(traj.durations))
-    if not 0.0 <= t <= total:
-        raise ValueError(f"t={t} outside [0, {total}]")
+    np.searchsorted on freshly summed knots (right-open, last closed, ending
+    at the last knot), then one vector-matrix product with a
+    reference_poly_basis row."""
     knots = np.concatenate([[0.0], np.cumsum(traj.durations)])
+    if not 0.0 <= t <= knots[-1]:
+        raise ValueError(f"t={t} outside [0, {knots[-1]}]")
     i = min(int(np.searchsorted(knots, t, side="right")) - 1, traj.M - 1)
     return reference_poly_basis(t - knots[i], traj.s, k) @ traj.coeffs[i]
 

@@ -86,7 +86,7 @@ _SIGNATURES = {
                     ("seed_base", 0), ("report_path", None), ("workers", 1),
                     ("**trial_kwargs", REQUIRED)],
     collision_repair: [("traj", REQUIRED), ("spec", REQUIRED), ("grid", REQUIRED),
-                       ("v_max", REQUIRED), ("a_max", REQUIRED), ("max_rounds", 30)],
+                       ("v_max", REQUIRED), ("a_max", REQUIRED)],
 }
 
 

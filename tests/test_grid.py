@@ -1,10 +1,14 @@
 """Occupancy grid: transforms, collision queries, inflation, generation, I/O."""
 
+import dataclasses
 import itertools
+import math
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadplan.grid import (
     GoalRegion,
@@ -18,6 +22,7 @@ from quadplan.grid import (
     save_grid,
     segment_collision_free,
 )
+from quadplan.planner import PlannerConfig
 
 from oracles import reference_segment_voxels
 
@@ -83,7 +88,51 @@ def test_goal_region_copies_center():
         goal.center[0] = 0.0
 
 
+def test_goal_region_equality_and_hash():
+    """Goals compare and hash by centre and radius, so configs holding them
+    compare too (an ndarray field made both raise)."""
+    goal = GoalRegion(np.array([1.0, 2.0, 3.0]), 1.5)
+    same = GoalRegion([1.0, 2.0, 3.0], 1.5)
+    assert goal == same and hash(goal) == hash(same) and len({goal, same}) == 1
+    assert goal != GoalRegion([1.0, 2.0, 3.5], 1.5)
+    assert goal != GoalRegion([1.0, 2.0, 3.0], 2.0)
+    assert goal != (1.0, 2.0, 3.0)
+    cfg = PlannerConfig(step=1.0, goal=goal, max_iterations=10)
+    assert cfg == dataclasses.replace(cfg, goal=same)
+    assert cfg != dataclasses.replace(cfg, goal=GoalRegion([0.0, 2.0, 3.0], 1.5))
+
+
 # ------------------------------------------------------------------ transforms
+
+
+_OFF_FACE = (-1, 0, 1)  # ulps moved off a face point, toward -inf or +inf
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    res=st.floats(0.01, 10.0),
+    origin=st.tuples(*[st.floats(-100.0, 100.0)] * 3),
+    seed=st.integers(0, 2**32 - 1),
+    faces=st.lists(st.tuples(*[st.tuples(st.integers(-1, 5), st.sampled_from(_OFF_FACE))] * 3),
+                   min_size=1, max_size=30),
+    bad=st.sampled_from([math.nan, math.inf, -math.inf]),
+    axis=st.integers(0, 2),
+)
+def test_point_query_agrees_with_zero_length_walk(res, origin, seed, faces, bad, axis):
+    """is_free_world and the voxel walk read one voxel map: at points on
+    voxel faces (origin + k * resolution, or an ulp off), where a different
+    rounding of the map moves a point to the neighbouring voxel, a point's
+    verdict is the zero-length segment's. A non-finite point maps to no
+    voxel."""
+    occ = np.random.default_rng(seed).random((4, 5, 3)) < 0.5
+    grid = OccupancyGrid(occ, res, origin)
+    for face in faces:
+        p = [math.nextafter(o + k * res, ulps * math.inf) if ulps else o + k * res
+             for o, (k, ulps) in zip(origin, face)]
+        assert grid.is_free_world(p) == segment_collision_free(grid, p, p), p
+        q = list(p)
+        q[axis] = bad
+        assert grid.world_to_index(q) is None and not grid.is_free_world(q)
 
 
 def test_world_to_index_examples():

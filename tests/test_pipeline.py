@@ -128,7 +128,7 @@ def test_pipeline_cluttered_maps_collision_free():
             segment_collision_free(grid, a, b) for a, b in zip(pts[:-1], pts[1:])
         ), f"seed {seed} trajectory collides"
         # The front-end waypoints survive as a subsequence of the final knots.
-        knots = traj.waypoints()
+        knots = np.array([traj.eval(t) for t in traj.knots])
         j = 0
         for w in result.path:
             while j < len(knots) and not np.allclose(knots[j], w, atol=1e-6):
@@ -166,6 +166,24 @@ def test_pipeline_failures():
     )
     with pytest.raises(PlanningFailure):
         plan_trajectory(grid, (0.5, 0.5, 0.5), starved.planner.goal, starved)
+
+
+def test_start_in_the_walks_occupied_voxel_is_rejected_up_front():
+    """At resolution 0.1, x = 0.3 lies in voxel 3 by the walk's map (0.3 *
+    10.0 rounds to 3.0), though 0.3 / 0.1 rounds to 2.9999999999999996. With voxel (3, 5, 5) occupied, the start is not free:
+    the point query must say so before any planning, not leave every edge
+    from the start to fail until the budget runs out."""
+    occ = np.zeros((20, 20, 20), dtype=bool)
+    occ[3, 5, 5] = True
+    grid = OccupancyGrid(occ, 0.1)
+    start = (0.3, 0.55, 0.55)
+    planner = PlannerConfig(step=0.2, goal=GoalRegion(np.array([1.55, 1.55, 1.55]), 0.2),
+                            max_iterations=200)
+    with pytest.raises(ValueError, match="start does not lie in free space"):
+        plan_trajectory(grid, start, planner.goal, PipelineConfig(planner=planner))
+    assert grid.world_to_index(start) == (3, 5, 5)
+    assert not grid.is_free_world(start)
+    assert not segment_collision_free(grid, start, start)
 
 
 @pytest.mark.parametrize("field, value", [
@@ -246,24 +264,26 @@ def test_pipeline_inflation():
 def test_flat_flag_matches_eval():
     """Column k of the flag is eval(t, k) bit for bit: at 0, at every knot
     (where the next segment is read), at the total duration and in between,
-    for the trajectory's order and every order below it."""
+    for the trajectory's order; the transposed derivatives rows give the
+    flag of every order below it."""
     rng = np.random.default_rng(3)
     wp = np.cumsum(rng.normal(size=(7, 3)), axis=0)
     traj = solve_bivp(BivpSpec.rest_to_rest(wp, rng.uniform(0.5, 2.0, 6), 3))
     T = traj.total_duration
     for t in (0.0, *traj.knots[1:-1], T, *rng.uniform(0.0, T, 20)):
+        flag = flat_flag_at(traj, t)
+        assert flag.shape == (3, 3) and flag.flags.c_contiguous
+        assert np.array_equal(flag, traj.derivatives(t, 3).T)
         for s in (1, 2, 3, 6):
-            flag = flat_flag_at(traj, t, s=s)
-            assert flag.shape == (3, s) and flag.flags.c_contiguous
+            flag = traj.derivatives(t, s).T
             for k in range(s):
                 assert np.array_equal(flag[:, k], traj.eval(t, k)), (t, s, k)
                 assert np.array_equal(flag[:, k], reference_eval(traj, t, k)), (t, s, k)
-    assert np.array_equal(flat_flag_at(traj, 1.0), flat_flag_at(traj, 1.0, s=3))
     for t in (-1e-9, T * (1 + 1e-9)):
         with pytest.raises(DomainError):
             flat_flag_at(traj, t)
     with pytest.raises(ValueError):
-        flat_flag_at(traj, 1.0, s=7)  # beyond order 2s - 1
+        traj.derivatives(1.0, 7)  # beyond order 2s - 1
 
 
 def test_yaw_profile():

@@ -125,10 +125,10 @@ def test_informed_sample_properties():
         d = np.linalg.norm(p - start) + np.linalg.norm(p - goal)
         assert d == pytest.approx(c_min, abs=1e-9)
 
-    # Infinite best cost: uniform over the bounds.
-    for _ in range(200):
-        p = informed_sample(start, goal, math.inf, bounds, rng)
-        assert np.all(p >= bounds[0]) and np.all(p <= bounds[1])
+    # No solution yet, or a corrupt cost: plan never samples then.
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            informed_sample(start, goal, bad, bounds, rng)
 
     # Finite best cost: every sample satisfies the focal-sum inequality.
     c_best = c_min + 2.0

@@ -2,11 +2,7 @@
 
 import heapq
 import itertools
-import os
 import struct
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,7 +26,12 @@ from quadplan.regions import (
     save_region,
 )
 
-from oracles import ReferenceRegionSampler, reference_astar_path, reference_dilate_path
+from oracles import (
+    ReferenceRegionSampler,
+    reference_astar_path,
+    reference_dilate_path,
+    run_fresh_python,
+)
 
 
 def empty_grid(side=8):
@@ -349,18 +350,6 @@ def test_connectivity_penalty_diagonal_neighbors():
     # once per ordered pair.
     r = region_of([(2, 2, 2), (3, 3, 3)])
     assert connectivity_penalty(r, 1.5) == pytest.approx(2 * (np.sqrt(3.0) - 1.5))
-
-
-def run_fresh_python(lines):
-    """Standard output of the lines run in a fresh interpreter that imports
-    quadplan from this checkout, split into words."""
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join([str(src), *filter(None, [env.get("PYTHONPATH")])])
-    proc = subprocess.run([sys.executable, "-c", "\n".join(lines)], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr[-2000:]
-    return proc.stdout.split()
 
 
 def test_import_leaves_scipy_spatial_unloaded():

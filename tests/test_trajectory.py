@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import quadplan.trajectory as trajectory_module
 from quadplan.grid import ObstacleSpec, OccupancyGrid, random_cluttered_map, segment_collision_free
 from quadplan.trajectory import (
     BandedSystem,
@@ -40,6 +41,7 @@ from oracles import (
     reference_control_effort,
     reference_eval,
     reference_poly_basis,
+    run_fresh_python,
 )
 
 
@@ -261,7 +263,8 @@ def test_boundary_and_waypoint_reproduction():
     for k in range(spec.s):
         assert np.allclose(traj.eval(0.0, k), spec.boundary_start[:, k], atol=1e-7)
         assert np.allclose(traj.eval(T, k), spec.boundary_end[:, k], atol=1e-7)
-    assert np.allclose(traj.waypoints(), spec.waypoints, atol=1e-7)
+    at_knots = np.array([traj.eval(t) for t in traj.knots])
+    assert np.allclose(at_knots, spec.waypoints, atol=1e-7)
 
 
 def test_joint_continuity():
@@ -283,12 +286,17 @@ def test_joint_continuity():
 # ------------------------------------------------------------------ evaluation
 
 
-def test_segment_of_conventions():
+def test_segment_lookup_conventions():
+    """Segment i is read over [knots[i], knots[i+1]) in local time t -
+    knots[i], and the last segment is closed at the end time."""
     coeffs = np.zeros((2, 6, 1))
+    coeffs[:, 0, 0] = [10.0, 20.0]  # the segment's index, as an offset
+    coeffs[:, 1, 0] = 1.0  # plus its local time
     traj = PiecewisePolynomial(coeffs, np.array([1.0, 2.0]), 3)
-    assert traj.segment_of(0.0) == (0, 0.0)
-    assert traj.segment_of(1.0) == (1, 0.0)  # right-open intervals
-    assert traj.segment_of(3.0) == (1, 2.0)  # last segment closed
+    assert traj.eval(0.0)[0] == 10.0
+    assert traj.eval(0.5)[0] == 10.5
+    assert traj.eval(1.0)[0] == 20.0  # right-open intervals
+    assert traj.eval(3.0)[0] == 22.0  # last segment closed
     with pytest.raises(DomainError):
         traj.eval(3.0001)
     with pytest.raises(DomainError):
@@ -296,9 +304,8 @@ def test_segment_of_conventions():
 
 
 def test_durations_and_knots_are_read_only():
-    """The knots and total duration are computed once, so the durations they
-    come from must not change under them; the caller's array is copied and
-    left as it was."""
+    """The knots are computed once, so the durations they come from must not
+    change under them; the caller's array is copied and left as it was."""
     given = np.array([1.0, 2.0, 0.5])
     traj = PiecewisePolynomial(np.zeros((3, 6, 2)), given, 3)
     for arr in (traj.durations, traj.knots):
@@ -309,12 +316,26 @@ def test_durations_and_knots_are_read_only():
     assert np.array_equal(traj.durations, [1.0, 2.0, 0.5])
     assert np.array_equal(traj.knots, [0.0, 1.0, 3.0, 3.5])
     assert traj.total_duration == 3.5
-    assert traj.segment_of(3.5) == (2, 0.5)
-    # The total stays np.sum's pairwise sum, which over many segments differs
-    # from the last cumulative knot in the last bits.
+    # The end time is the last cumulative knot, not np.sum's pairwise sum,
+    # which over many segments differs from it in the last bits.
     many = np.random.default_rng(0).uniform(0.1, 3.0, 200)
     traj = PiecewisePolynomial(np.zeros((200, 6, 1)), many, 3)
-    assert traj.total_duration == float(np.sum(many)) != traj.knots[-1]
+    assert traj.total_duration == traj.knots[-1] != float(np.sum(many))
+
+
+def test_end_time_is_the_last_knot():
+    """Every trajectory evaluates at its own last knot, which is its total
+    duration, and not a bit past it: the domain check and the segment
+    lookup read the same end time."""
+    rng = np.random.default_rng(16)
+    for _ in range(200):
+        M = int(rng.integers(1, 60))
+        traj = PiecewisePolynomial(rng.normal(size=(M, 6, 3)), rng.uniform(0.1, 3.0, M), 3)
+        end = traj.knots[-1]
+        assert traj.total_duration == end
+        assert np.array_equal(traj.eval(end), reference_eval(traj, end, 0))
+        with pytest.raises(DomainError):
+            traj.eval(math.nextafter(end, math.inf))
 
 
 def test_derivatives_rows_match_eval():
@@ -339,6 +360,20 @@ def test_derivatives_rows_match_eval():
             traj.derivatives(T * (1 + 1e-9), 1)
         with pytest.raises(ValueError):
             traj.eval(0.5 * T, -1)
+
+
+def test_import_leaves_scipy_linalg_unloaded():
+    """LAPACK is imported by banded_plu_solve alone, on its first solve:
+    importing the package does not pay for scipy.linalg."""
+    assert run_fresh_python([
+        "import sys",
+        "import numpy as np",
+        "import quadplan",
+        "from quadplan.trajectory import BivpSpec, solve_bivp",
+        "print('scipy.linalg' in sys.modules)",
+        "spec = BivpSpec.rest_to_rest(np.array([[0.0], [1.0]]), [1.0], 3)",
+        "print(round(float(solve_bivp(spec).eval(0.5)[0]), 9), 'scipy.linalg' in sys.modules)",
+    ]) == ["False", "0.5", "True"]
 
 
 def test_piecewise_polynomial_rejects_bad_durations():
@@ -449,7 +484,7 @@ def test_repair_fixes_corner_cut():
         segment_collision_free(grid, a, b) for a, b in zip(pts[:-1], pts[1:])
     )
     # Repair only inserts waypoints: the originals survive as a subsequence.
-    out_wp = repaired.waypoints()
+    out_wp = np.array([repaired.eval(t) for t in repaired.knots])
     j = 0
     for w in spec.waypoints:
         while j < len(out_wp) and not np.allclose(out_wp[j], w, atol=1e-6):
@@ -472,7 +507,7 @@ def test_repair_keeps_waypoint_conditions():
     )
     repaired = collision_repair(solve_bivp(spec), spec, grid, v_max=2.0, a_max=1.0)
     assert repaired.M > spec.M  # at least one repair round ran
-    out_wp = repaired.waypoints()
+    out_wp = np.array([repaired.eval(t) for t in repaired.knots])
     j = int(np.argmin(np.linalg.norm(out_wp - corner, axis=1)))
     assert np.allclose(out_wp[j], corner, atol=1e-9)
     assert np.allclose(repaired.eval(repaired.knots[j], 1), v_corner, atol=1e-9)
@@ -485,7 +520,7 @@ def colliding_segments_by_eval(traj, grid, dt):
     for i in range(traj.M):
         t0, t1 = knots[i], knots[i + 1]
         ts = np.linspace(t0, t1, max(2, int(math.ceil((t1 - t0) / dt)) + 1))
-        pts = np.array([traj.eval(min(t, traj.total_duration)) for t in ts])
+        pts = np.array([traj.eval(t) for t in ts])
         if not all(segment_collision_free(grid, a, b) for a, b in zip(pts[:-1], pts[1:])):
             out.add(i)
     return out
@@ -591,11 +626,12 @@ def test_colliding_segments_chord_verdicts_match_walk(case):
     assert _colliding_segments(traj, grid, 1.0) == colliding_segments_by_eval(traj, grid, 1.0)
 
 
-def test_repair_exhausted():
+def test_repair_exhausted(monkeypatch):
     grid, spec = corner_cut_instance()
     traj = solve_bivp(spec)
+    monkeypatch.setattr(trajectory_module, "_MAX_REPAIR_ROUNDS", 0)
     with pytest.raises(RepairExhaustedError):
-        collision_repair(traj, spec, grid, v_max=2.0, a_max=1.0, max_rounds=0)
+        collision_repair(traj, spec, grid, v_max=2.0, a_max=1.0)
 
 
 # ------------------------------------------------------------------------- I/O
