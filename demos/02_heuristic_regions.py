@@ -48,11 +48,10 @@ print(f"  safety_penalty = {safety_penalty(region, grid):.1f} "
 usable = filter_region(region, grid, start, goal)
 print(f"filtered region: {int(usable.values.sum())} member voxels")
 
-# Sampling draws voxels proportionally to value, then uniformly inside.
+# Sampling draws voxels proportionally to value, then uniformly inside; the
+# grid places the region's voxels in the world.
 rng = np.random.default_rng(0)
-sampler = RegionSampler(usable)
+sampler = RegionSampler(usable, grid)
 pts = np.array([sampler.sample(rng) for _ in range(1000)])
-inside = sum(
-    usable.values[tuple(np.floor(p).astype(int))] > 0 for p in pts
-)
+inside = sum(usable.values[grid.world_to_index(p)] > 0 for p in pts)
 print(f"1000 samples: {inside} landed in member voxels (expected: all)")

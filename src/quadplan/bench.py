@@ -8,14 +8,15 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
+from functools import partial
 
 import numpy as np
 
 from .grid import GoalRegion, OccupancyGrid, ObstacleSpec, random_cluttered_map
-from .pipeline import plan_front_end, prune_collinear
+from .pipeline import PipelineConfig, back_end_spec, plan_front_end
 from .planner import PlannerConfig
 from .regions import NoPathError
-from .trajectory import BivpSpec, control_effort, solve_bivp, trapezoidal_time_allocation
+from .trajectory import BivpSpec, control_effort, solve_bivp
 
 
 @dataclass
@@ -113,18 +114,13 @@ def run_trial(
     target_cost: float | None = None,
 ) -> TrialRecord:
     """Single seeded planning run plus back-end solve timings (s=3 and s=4,
-    assembly included) on the resulting waypoints, and the control effort of
-    the timed s=3 solution. Region sampling uses PlannerConfig's default mu1
-    and mu2."""
-    cfg = PlannerConfig(
-        step=step,
-        goal=case.goal,
-        max_iterations=max_iterations,
-        target_cost=target_cost,
-        rng_seed=seed,
-    )
+    assembly included) on the waypoints plan_trajectory would solve, and the
+    control effort of the timed s=3 solution. Region sampling, v_max and
+    a_max take the defaults of PlannerConfig and PipelineConfig."""
+    planner = PlannerConfig(step=step, goal=case.goal, max_iterations=max_iterations,
+                            target_cost=target_cost, rng_seed=seed)
     try:
-        result = plan_front_end(case.grid, case.start, case.goal, cfg, mode)
+        result = plan_front_end(case.grid, case.start, case.goal, planner, mode)
     except NoPathError:
         return TrialRecord(case.name, mode, seed, success=False)
     rec = TrialRecord(case.name, mode, seed, success=result.stats.success)
@@ -141,20 +137,15 @@ def run_trial(
         rec.opt_time_ms = 1e3 * st.optimal_time
     rec.final_cost = result.cost
 
-    waypoints = prune_collinear(result.path)
-    durations = trapezoidal_time_allocation(waypoints, 2.0, 1.0)
-    for s, attr in ((3, "jerk_solve_ms"), (4, "snap_solve_ms")):
-        spec = BivpSpec.rest_to_rest(waypoints, durations, s)
+    jerk = back_end_spec(case.grid, result.path, PipelineConfig(planner, s=3))
+    snap = BivpSpec.rest_to_rest(jerk.waypoints, jerk.durations, 4)
+    for spec, attr in ((jerk, "jerk_solve_ms"), (snap, "snap_solve_ms")):
         t0 = time.perf_counter()
         traj = solve_bivp(spec)
         setattr(rec, attr, 1e3 * (time.perf_counter() - t0))
-        if s == 3:
+        if spec is jerk:
             rec.effort = control_effort(traj)
     return rec
-
-
-def _trial_star(args):
-    return run_trial(*args[:-1], **args[-1])
 
 
 def run_benchmark(
@@ -174,17 +165,13 @@ def run_benchmark(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    jobs = [
-        (case, mode, seed_base + t, trial_kwargs)
-        for case in cases
-        for mode in modes
-        for t in range(trials)
-    ]
+    jobs = [(case, mode, seed_base + t) for case in cases for mode in modes for t in range(trials)]
+    trial = partial(run_trial, **trial_kwargs)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_trial_star, jobs, chunksize=4))
+            records = list(pool.map(trial, *zip(*jobs), chunksize=4))
     else:
-        records = [_trial_star(j) for j in jobs]
+        records = [trial(*job) for job in jobs]
     records.sort(key=lambda r: (r.map, r.mode, r.seed))
     if report_path is not None:
         write_report(records, report_path)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 
 import numpy as np
@@ -22,6 +23,11 @@ def _triple(text: str, cast=float):
     return tuple(cast(p) for p in parts)
 
 
+def _default(fn, name: str):
+    """The default that fn declares for its parameter name."""
+    return inspect.signature(fn).parameters[name].default
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="quadplan", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
@@ -32,17 +38,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--start", required=True, type=_triple)
     p.add_argument("--goal", required=True, type=_triple)
     p.add_argument("--goal-radius", type=float, default=1.0)
-    p.add_argument("--mode", choices=MODES, default="heuristic")
-    p.add_argument("--mu1", type=float, default=0.5)
-    p.add_argument("--mu2", type=float, default=0.9)
+    p.add_argument("--mode", choices=MODES, default=_default(plan_trajectory, "mode"))
+    p.add_argument("--mu1", type=float, default=PlannerConfig.mu1)
+    p.add_argument("--mu2", type=float, default=PlannerConfig.mu2)
     p.add_argument("--step", type=float)
     p.add_argument("--max-iter", type=int, default=30000)
     p.add_argument("--target-cost", type=float)
-    p.add_argument("--s", type=int, choices=(3, 4), default=3)
-    p.add_argument("--vmax", type=float, default=2.0)
-    p.add_argument("--amax", type=float, default=1.0)
-    p.add_argument("--inflate", type=int, default=0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--s", type=int, choices=(3, 4), default=PipelineConfig.s)
+    p.add_argument("--vmax", type=float, default=PipelineConfig.v_max)
+    p.add_argument("--amax", type=float, default=PipelineConfig.a_max)
+    p.add_argument("--inflate", type=int, default=PipelineConfig.inflate_radius)
+    p.add_argument("--seed", type=int, default=PlannerConfig.rng_seed)
     p.add_argument("--out", required=True, help="trajectory output file")
     p.add_argument("--path-out", help="optional waypoint path output file")
 
@@ -51,9 +57,9 @@ def _build_parser() -> argparse.ArgumentParser:
     b.add_argument("--modes", default="heuristic,uniform")
     b.add_argument("--trials", type=int, default=50)
     b.add_argument("--seed", type=int, default=0)
-    b.add_argument("--step", type=float, default=2.0)
-    b.add_argument("--max-iter", type=int, default=30000)
-    b.add_argument("--workers", type=int, default=1)
+    b.add_argument("--step", type=float, default=_default(bench_mod.run_trial, "step"))
+    b.add_argument("--max-iter", type=int, default=_default(bench_mod.run_trial, "max_iterations"))
+    b.add_argument("--workers", type=int, default=_default(bench_mod.run_benchmark, "workers"))
     b.add_argument("--report", required=True, help="per-trial CSV output")
 
     g = sub.add_parser("genmap", help="generate a random cluttered map")

@@ -160,11 +160,11 @@ def segment_collision_free(grid: OccupancyGrid, a, b) -> bool:
     """True iff every voxel traversed by segment a->b is in-bounds and free.
 
     An Amanatides-Woo grid walk in scalar math (the hot path), with the voxel
-    map of OccupancyGrid: it returns False on the first occupied or
-    out-of-bounds voxel, so on an empty grid (a convex box) the verdict is
-    whether both endpoints lie inside. A NaN or infinite coordinate raises
-    from math.floor. Unrolled per axis into plain locals: on ties the walk
-    steps x before y before z."""
+    map of OccupancyGrid: it returns False when an end voxel is out of bounds
+    or on the first occupied voxel, so on an empty grid (a convex box) the
+    verdict is whether both endpoints lie inside. A NaN or infinite
+    coordinate raises from math.floor. Unrolled per axis into plain locals:
+    on ties the walk steps x before y before z."""
     occ = grid.occupancy
     nx, ny, nz = occ.shape
     lx, ly, lz = grid._lo
@@ -182,7 +182,8 @@ def segment_collision_free(grid: OccupancyGrid, a, b) -> bool:
     ex = math.floor(vx)
     ey = math.floor(vy)
     ez = math.floor(vz)
-    if not (0 <= ix < nx and 0 <= iy < ny and 0 <= iz < nz):
+    if not (0 <= ix < nx and 0 <= iy < ny and 0 <= iz < nz
+            and 0 <= ex < nx and 0 <= ey < ny and 0 <= ez < nz):
         return False
     if occ[ix, iy, iz]:
         return False
@@ -215,27 +216,22 @@ def segment_collision_free(grid: OccupancyGrid, a, b) -> bool:
         sz, tdz, tmz = 1, 1.0 / d, (iz + 1.0 - uz) / d
     else:
         sz, tdz, tmz = -1, -1.0 / d, (iz - uz) / d
-    # One step per remaining count; each step moves one axis, so only that
-    # axis needs a bounds check.
+    # One step per remaining count. Each axis steps exactly its count toward
+    # the end voxel, so every voxel visited lies between the two end voxels,
+    # which both passed the bounds test above.
     for _ in range(cx + cy + cz):
         if tmx <= tmy and tmx <= tmz:
             ix += sx
             cx -= 1
             tmx = tmx + tdx if cx else math.inf
-            if not 0 <= ix < nx:
-                return False
         elif tmy <= tmz:
             iy += sy
             cy -= 1
             tmy = tmy + tdy if cy else math.inf
-            if not 0 <= iy < ny:
-                return False
         else:
             iz += sz
             cz -= 1
             tmz = tmz + tdz if cz else math.inf
-            if not 0 <= iz < nz:
-                return False
         if occ[ix, iy, iz]:
             return False
     return True

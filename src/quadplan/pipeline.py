@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -93,9 +93,12 @@ def plan_front_end(
     component around the A* path from start to goal); then run RRT* toward
     goal.
 
-    A region passed with a mode that does not sample one is a ValueError
-    from plan.
+    goal must equal planner_cfg.goal, which plan reads; a different one is a
+    ValueError. A region passed with a mode that does not sample one, or one
+    whose dims differ from the grid's, is a ValueError from plan.
     """
+    if goal != planner_cfg.goal:
+        raise ValueError(f"goal {goal} differs from planner_cfg.goal {planner_cfg.goal}")
     start = np.asarray(start, dtype=float)
     start_voxel = grid.world_to_index(start)
     goal_voxel = grid.world_to_index(goal.center)
@@ -108,7 +111,21 @@ def plan_front_end(
             region = oracle_region(grid, start_voxel, goal_voxel)
         else:
             region = filter_region(region, grid, start_voxel, goal_voxel)
-    return plan(grid, start, replace(planner_cfg, goal=goal), mode=mode, region=region)
+    return plan(grid, start, planner_cfg, mode=mode, region=region)
+
+
+def back_end_spec(grid: OccupancyGrid, path: np.ndarray, cfg: PipelineConfig) -> BivpSpec:
+    """The back end's rest-to-rest problem of order cfg.s: the front-end path
+    pruned of collinear waypoints, timed by trapezoidal allocation. Repair
+    converges only from a collision-free polyline, and the chord that
+    replaces pruned vertices can cut a corner the front end's edges went
+    around; then the unpruned path is timed instead."""
+    waypoints = prune_collinear(path)
+    pts = waypoints.tolist()
+    if not all(segment_collision_free(grid, a, b) for a, b in zip(pts, pts[1:])):
+        waypoints = path
+    durations = trapezoidal_time_allocation(waypoints, cfg.v_max, cfg.a_max)
+    return BivpSpec.rest_to_rest(waypoints, durations, cfg.s)
 
 
 def plan_trajectory(
@@ -120,26 +137,19 @@ def plan_trajectory(
     region: HeuristicRegion | None = None,
 ) -> PipelineResult:
     """Full pipeline: inflation -> front end (region, RRT* in the given
-    mode) -> waypoint pruning -> trapezoidal time allocation -> spline
+    mode) -> back_end_spec (waypoint pruning, time allocation) -> spline
     solve -> collision repair. The returned trajectory passes the exact
     collision checker and reproduces the rest-to-rest boundary flags.
 
-    Repair converges only from a collision-free polyline, and the chord that
-    replaces pruned vertices can cut a corner the front end's edges went
-    around; then the unpruned front-end path is solved instead."""
+    goal must equal cfg.planner.goal; a different one is a ValueError."""
     planning_grid = inflate(grid, cfg.inflate_radius) if cfg.inflate_radius else grid
     result = plan_front_end(planning_grid, start, goal, cfg.planner, mode, region)
     if result.path is None:
         raise PlanningFailure(f"no path within {cfg.planner.max_iterations} iterations")
 
-    waypoints = prune_collinear(result.path)
-    pts = waypoints.tolist()
-    if not all(segment_collision_free(grid, a, b) for a, b in zip(pts, pts[1:])):
-        waypoints = result.path
-    durations = trapezoidal_time_allocation(waypoints, cfg.v_max, cfg.a_max)
-    spec = BivpSpec.rest_to_rest(waypoints, durations, cfg.s)
+    spec = back_end_spec(grid, result.path, cfg)
     traj = collision_repair(solve_bivp(spec), spec, grid, cfg.v_max, cfg.a_max)
-    return PipelineResult(traj, result.stats, waypoints, result.cost)
+    return PipelineResult(traj, result.stats, spec.waypoints, result.cost)
 
 
 def flat_flag_at(traj: PiecewisePolynomial, t: float) -> np.ndarray:

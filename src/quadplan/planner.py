@@ -25,28 +25,25 @@ _DRAW_BLOCK = 1024
 MODES = ("uniform", "informed", "heuristic")
 
 
-def unit_ball_volume(m: int) -> float:
-    return math.pi ** (m / 2) / math.gamma(m / 2 + 1)
+# Volume of the unit ball in R^3; the same double as pi^1.5 / Gamma(2.5).
+_UNIT_BALL_VOLUME = 4.0 * math.pi / 3.0
 
 
-def rewire_radius_bound(m: int, free_measure: float) -> float:
+def rewire_radius_bound(free_measure: float) -> float:
     """Lower bound on the rewire-radius constant that guarantees asymptotic
-    optimality: (2(1+1/m))^(1/m) * (free_measure / unit_ball_volume)^(1/m)."""
-    if m < 2:
-        raise ValueError("dimension must be >= 2")
+    optimality in three dimensions:
+    (2(1+1/3))^(1/3) * (free_measure / unit_ball_volume)^(1/3)."""
     if not free_measure > 0:
         raise ValueError("free measure must be positive")
-    return (2.0 * (1.0 + 1.0 / m)) ** (1.0 / m) * (
-        free_measure / unit_ball_volume(m)
-    ) ** (1.0 / m)
+    return (2.0 * (1.0 + 1.0 / 3)) ** (1.0 / 3) * (free_measure / _UNIT_BALL_VOLUME) ** (1.0 / 3)
 
 
-def shrinking_radius(n: int, step: float, gamma_rrt: float, m: int = 3) -> float:
-    """r(n) = min(step, gamma * (log n / n)^(1/m)); r(1) = step since
+def shrinking_radius(n: int, step: float, gamma_rrt: float) -> float:
+    """r(n) = min(step, gamma * (log n / n)^(1/3)); r(1) = step since
     log 1 = 0 would collapse the radius to zero."""
     if n < 2:
         return step
-    return min(step, gamma_rrt * (math.log(n) / n) ** (1.0 / m))
+    return min(step, gamma_rrt * (math.log(n) / n) ** (1.0 / 3))
 
 
 def _steer(nx, ny, nz, rx, ry, rz, step: float):
@@ -410,13 +407,13 @@ def plan(
     if heuristic:
         if region is None:
             raise ValueError("heuristic mode requires a region")
-        region_point = RegionSampler(region, grid.origin, grid.resolution).point
+        region_point = RegionSampler(region, grid).point
     goal = cfg.goal
     straight = float(np.linalg.norm(goal.center - start))
     target = cfg.target_cost if cfg.target_cost is not None else 1.05 * straight
     gamma = cfg.gamma_rrt
     if gamma is None:
-        gamma = 1.01 * rewire_radius_bound(3, grid.free_measure())
+        gamma = 1.01 * rewire_radius_bound(grid.free_measure())
     step = cfg.step
     lower, upper = grid.lower, grid.upper
     span = upper - lower

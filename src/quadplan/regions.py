@@ -250,17 +250,15 @@ def connectivity_penalty(region: HeuristicRegion, delta: float) -> float:
         return 0.0
     tree = cKDTree(pts)
     total = 0.0
-    # All pairs within sqrt(3): candidate 26-neighbors (distance can't exceed
-    # sqrt(3) for Chebyshev distance 1, and any pair within sqrt(3) is one).
+    # The pairs within sqrt(3) are exactly the 26-neighbours: on integer
+    # coordinates a squared distance of at most 3 is at most 1 per axis.
     pairs = tree.query_pairs(np.sqrt(3.0) + 1e-9, output_type="ndarray")
     has_neighbor = np.zeros(len(pts), dtype=bool)
     if len(pairs):
         d = np.linalg.norm(pts[pairs[:, 0]] - pts[pairs[:, 1]], axis=1)
-        cheb = np.max(np.abs(pts[pairs[:, 0]] - pts[pairs[:, 1]]), axis=1)
-        adj = cheb <= 1.0 + 1e-9
-        total += 2.0 * float(np.sum(np.maximum(0.0, d[adj] - delta)))
-        has_neighbor[pairs[adj, 0]] = True
-        has_neighbor[pairs[adj, 1]] = True
+        total += 2.0 * float(np.sum(np.maximum(0.0, d - delta)))
+        has_neighbor[pairs[:, 0]] = True
+        has_neighbor[pairs[:, 1]] = True
     isolated = np.flatnonzero(~has_neighbor)
     if len(isolated):
         d, _ = tree.query(pts[isolated], k=2)
@@ -301,19 +299,23 @@ class RegionSampler:
     """Value-weighted draws from a region: a member voxel with probability
     proportional to its value, then a uniform point inside that voxel.
 
-    Cumulative weights are built once, so each draw is one O(log K) search.
-    point maps four uniform doubles to a world point; sample draws them.
+    The grid's origin and resolution place the region's voxels in the world;
+    a region of other dims is a ValueError. Cumulative weights are built
+    once, so each draw is one O(log K) search. point maps four uniform
+    doubles to a world point; sample draws them.
     """
 
-    def __init__(self, region: HeuristicRegion, origin=(0.0, 0.0, 0.0), resolution: float = 1.0):
+    def __init__(self, region: HeuristicRegion, grid: OccupancyGrid):
+        if region.dims != grid.dims:
+            raise ValueError(f"region dims {region.dims} != grid dims {grid.dims}")
         idx = region.member_indices()
         if len(idx) == 0:
             raise EmptyRegionError("cannot sample from an empty region")
         w = region.values[idx[:, 0], idx[:, 1], idx[:, 2]].astype(float)
         self._idx = idx.tolist()
         self._cum = np.cumsum(w / w.sum()).tolist()
-        self._origin = np.asarray(origin, dtype=float).tolist()
-        self._res = float(resolution)
+        self._origin = grid.origin.tolist()
+        self._res = grid.resolution
 
     def point(self, u: float, a: float, b: float, c: float) -> tuple[float, float, float]:
         """The voxel whose cumulative-weight interval holds u, offset by

@@ -446,7 +446,7 @@ def reference_plan(grid, start, cfg, mode="uniform", region=None):
     target = cfg.target_cost if cfg.target_cost is not None else 1.05 * straight
     gamma = cfg.gamma_rrt
     if gamma is None:
-        gamma = 1.01 * rewire_radius_bound(3, grid.free_measure())
+        gamma = 1.01 * rewire_radius_bound(grid.free_measure())
     lower, upper = grid.lower, grid.upper
     span = upper - lower
     rng = np.random.default_rng(cfg.rng_seed)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import workloads as W
 
+from quadplan.bench import run_trial
 from quadplan.grid import (
     GoalRegion,
     ObstacleSpec,
@@ -32,6 +33,7 @@ from quadplan.trajectory import (
     collision_repair,
     control_effort,
     solve_bivp,
+    trapezoidal_time_allocation,
 )
 
 from oracles import reference_eval
@@ -310,18 +312,50 @@ def test_yaw_samples_hold_last():
     assert np.allclose(ys, 0.0, atol=1e-9)
 
 
-def test_colliding_pruned_polyline_falls_back_to_the_front_end_path():
-    """pipeline seed 24, input 375 (cube38-375): pruning replaces front-end
-    vertices by a chord that cuts an obstacle, and repair, which converges
-    only from a collision-free polyline, split segments until the banded
-    solve went singular. The unpruned path repairs and passes the
-    benchmark's dense check."""
+def test_goal_other_than_the_config_goal_is_rejected():
+    """The goal argument and planner_cfg.goal name one goal. One that
+    differs used to replace the config's silently, and the run planned to
+    it; an equal goal built anew is accepted."""
+    cfg = make_config((8.5, 8.5, 8.5))
+    start = np.array([1.5, 1.5, 1.5])
+    other = GoalRegion(np.array([1.5, 8.5, 1.5]), 1.5)
+    with pytest.raises(ValueError, match="goal"):
+        plan_front_end(empty_grid(), start, other, cfg.planner)
+    with pytest.raises(ValueError, match="goal"):
+        plan_trajectory(empty_grid(), start, other, cfg)
+    same = GoalRegion(np.array([8.5, 8.5, 8.5]), 1.5)
+    assert plan_front_end(empty_grid(), start, same, cfg.planner).stats.success
+
+
+@pytest.fixture(scope="module")
+def cube38_375():
+    """pipeline seed 24, input 375 (cube38-375), and plan_trajectory's output
+    on it."""
     wl = W.Pipeline()
     inp = wl.inputs(24)[375]
+    return wl, inp, wl.op(inp)
+
+
+def test_colliding_pruned_polyline_falls_back_to_the_front_end_path(cube38_375):
+    """Pruning replaces front-end vertices by a chord that cuts an obstacle,
+    and repair, which converges only from a collision-free polyline, split
+    segments until the banded solve went singular. The unpruned path
+    repairs and passes the benchmark's dense check."""
+    wl, inp, out = cube38_375
     c = inp.case
     front = plan_front_end(c.grid, c.start, c.goal, wl.config(inp).planner)
     pruned = prune_collinear(front.path)
     assert not all(segment_collision_free(c.grid, a, b) for a, b in zip(pruned[:-1], pruned[1:]))
-    out = wl.op(inp)
     assert np.array_equal(out.path, front.path)
     wl.check(inp, out)
+
+
+def test_run_trial_solves_the_waypoints_plan_trajectory_solves(cube38_375):
+    """run_trial's effort is that of the s=3 solve of plan_trajectory's
+    waypoints; it used to solve the colliding pruned polyline instead."""
+    wl, inp, out = cube38_375
+    rec = run_trial(inp.case, "heuristic", inp.planner_seed, step=W.STEP,
+                    max_iterations=W.MAX_ITERATIONS)
+    cfg = wl.config(inp)
+    durations = trapezoidal_time_allocation(out.path, cfg.v_max, cfg.a_max)
+    assert rec.effort == control_effort(solve_bivp(BivpSpec.rest_to_rest(out.path, durations, 3)))

@@ -28,7 +28,7 @@ from quadplan.planner import (
     save_path,
     shrinking_radius,
 )
-from quadplan.regions import filter_region, oracle_region
+from quadplan.regions import HeuristicRegion, filter_region, oracle_region
 
 from oracles import reference_extend_and_rewire, reference_plan, reference_steer
 
@@ -58,19 +58,13 @@ def check_tree_invariants(tree):
 
 def test_rewire_radius_bound_values():
     expect = (8.0 / 3.0) ** (1.0 / 3.0) * (1000.0 / (4.0 * math.pi / 3.0)) ** (1.0 / 3.0)
-    assert rewire_radius_bound(3, 1000.0) == pytest.approx(expect)
+    assert rewire_radius_bound(1000.0) == pytest.approx(expect)
     assert expect == pytest.approx(8.603, abs=5e-4)
-    assert rewire_radius_bound(3, 4.0 * math.pi / 3.0) == pytest.approx(
-        (8.0 / 3.0) ** (1.0 / 3.0)
-    )
+    assert rewire_radius_bound(4.0 * math.pi / 3.0) == pytest.approx((8.0 / 3.0) ** (1.0 / 3.0))
     # Cube-root homogeneity in the free measure.
-    assert rewire_radius_bound(3, 8 * 123.0) == pytest.approx(
-        2 * rewire_radius_bound(3, 123.0)
-    )
+    assert rewire_radius_bound(8 * 123.0) == pytest.approx(2 * rewire_radius_bound(123.0))
     with pytest.raises(ValueError):
-        rewire_radius_bound(1, 10.0)
-    with pytest.raises(ValueError):
-        rewire_radius_bound(3, 0.0)
+        rewire_radius_bound(0.0)
 
 
 def test_shrinking_radius():
@@ -750,6 +744,16 @@ def test_plan_rejects_region_outside_heuristic_mode():
     for mode in ("uniform", "informed"):
         with pytest.raises(ValueError, match="only used in heuristic mode"):
             plan(grid, (1.5, 1.5, 1.5), cfg, mode=mode, region=region)
+
+
+def test_heuristic_plan_rejects_a_region_of_other_dims():
+    """A region is aligned to the grid it was built for: a (20, 20, 20) one
+    on a (10, 10, 10) grid used to draw 90 % of the first samples off the
+    map, and now fails before the first iteration."""
+    region = HeuristicRegion(np.ones((20, 20, 20), dtype=np.float32))
+    cfg = PlannerConfig(step=2.0, goal=goal_at((8.5, 8.5, 8.5)), max_iterations=10)
+    with pytest.raises(ValueError, match="dims"):
+        plan(empty_grid(10), (1.5, 1.5, 1.5), cfg, mode="heuristic", region=region)
 
 
 def test_save_path(tmp_path):

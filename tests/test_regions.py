@@ -427,15 +427,15 @@ def test_sample_region_singleton_and_zero_mass():
     rng = np.random.default_rng(0)
     r = region_of([(3, 4, 5)])
     for _ in range(50):
-        p = RegionSampler(r).sample(rng)
+        p = RegionSampler(r, empty_grid()).sample(rng)
         assert np.all((3, 4, 5) <= p) and np.all(p < (4, 5, 6))
     vals = np.zeros((8, 8, 8), dtype=np.float32)
     vals[1, 1, 1] = 1.0
     for _ in range(50):
-        p = RegionSampler(HeuristicRegion(vals)).sample(rng)
+        p = RegionSampler(HeuristicRegion(vals), empty_grid()).sample(rng)
         assert np.all((1, 1, 1) <= p) and np.all(p < (2, 2, 2))
     with pytest.raises(EmptyRegionError):
-        RegionSampler(region_of([]))
+        RegionSampler(region_of([]), empty_grid())
 
 
 def test_sample_region_weighting():
@@ -444,7 +444,7 @@ def test_sample_region_weighting():
     vals[3, 3, 3] = 0.75
     r = HeuristicRegion(vals)
     rng = np.random.default_rng(42)
-    sampler = RegionSampler(r)
+    sampler = RegionSampler(r, empty_grid(4))
     hits = sum(sampler.sample(rng)[0] >= 3.0 for _ in range(20_000))
     assert abs(hits / 20_000 - 0.75) < 0.75 * 0.05
 
@@ -458,7 +458,7 @@ def test_sample_region_matches_reference_sampler():
     vals[1, 2, 3] = 1.0
     region = HeuristicRegion(vals)
     origin, res = (-1.25, 3.5, 0.75), 0.5
-    sampler = RegionSampler(region, origin, res)
+    sampler = RegionSampler(region, OccupancyGrid(np.zeros(region.dims, dtype=bool), res, origin))
     ref = ReferenceRegionSampler(region, origin, res)
     got_rng, want_rng, draws = (np.random.default_rng(2) for _ in range(3))
     for _ in range(3000):
@@ -487,8 +487,14 @@ class _Replay:
 def test_sample_region_origin_resolution():
     rng = np.random.default_rng(1)
     r = region_of([(2, 2, 2)], dims=(4, 4, 4))
-    p = RegionSampler(r, origin=(10.0, 0.0, -5.0), resolution=0.5).sample(rng)
+    grid = OccupancyGrid(np.zeros((4, 4, 4), dtype=bool), 0.5, (10.0, 0.0, -5.0))
+    p = RegionSampler(r, grid).sample(rng)
     assert np.all(p >= (11.0, 1.0, -4.0)) and np.all(p < (11.5, 1.5, -3.5))
+
+
+def test_region_sampler_rejects_a_region_of_other_dims():
+    with pytest.raises(ValueError, match="dims"):
+        RegionSampler(region_of([(1, 1, 1)], dims=(20, 20, 20)), empty_grid(10))
 
 
 # ------------------------------------------------------------------------- I/O
