@@ -2,7 +2,9 @@
 
 The runs are the benchmark's three workloads on a few inputs each, hashed
 with each workload's own digest, and plan_trajectory in uniform and informed
-mode (which no workload runs) on a few paperlike maps. A change that claims
+mode (which no workload runs) on a few paperlike maps. The uniform_budget
+digest pins only the path, its cost and the vertex count, so the trees of
+its inputs are hashed whole as well: points, parents and costs. A change that claims
 bit-identical outputs must leave every digest as it is. A change that
 alters outputs on purpose rewrites the file with
 
@@ -14,6 +16,7 @@ environments, so that a platform difference (libm pow, LAPACK) can be told
 apart from a regression.
 """
 
+import hashlib
 import json
 from functools import partial
 import platform
@@ -30,7 +33,8 @@ from quadplan.planner import PlannerConfig
 GOLDEN = Path(__file__).with_name("golden_digests.json")
 SEED = 1
 PIPELINE = W.Pipeline(n_maps=12)
-WORKLOADS = (PIPELINE, W.UniformBudget(n_maps=2), W.Backend(n_maps=3, planner_seeds=1))
+UNIFORM = W.UniformBudget(n_maps=2)
+WORKLOADS = (PIPELINE, UNIFORM, W.Backend(n_maps=3, planner_seeds=1))
 MODE_MAPS = 3
 MODE_ITERATIONS = 3000
 
@@ -49,6 +53,14 @@ def _outcome(digest, run) -> str:
         return type(e).__name__
 
 
+def _tree_digest(result) -> bytes:
+    tree = result.tree
+    h = hashlib.sha256(np.ascontiguousarray(tree.points).tobytes())
+    h.update(np.asarray(tree.parent, dtype=np.int64).tobytes())
+    h.update(np.asarray(tree.cost[: tree.n], dtype=float).tobytes())
+    return h.digest()
+
+
 def _mode_run(case, mode, seed):
     cfg = PipelineConfig(PlannerConfig(step=W.STEP, goal=case.goal,
                                        max_iterations=MODE_ITERATIONS, target_cost=0.0,
@@ -60,6 +72,9 @@ def compute_digests() -> dict:
     out = {}
     for wl in WORKLOADS:
         out[wl.name] = [_outcome(wl.digest, partial(wl.op, inp)) for inp in wl.inputs(SEED)]
+    out["uniform_budget_trees"] = [
+        _outcome(_tree_digest, partial(UNIFORM.op, inp)) for inp in UNIFORM.inputs(SEED)
+    ]
     cases = paperlike_maps(MODE_MAPS, seed=SEED)
     for mode in ("uniform", "informed"):
         out[f"plan_trajectory_{mode}"] = [
