@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 import time
 from dataclasses import dataclass
 
@@ -19,6 +20,9 @@ _DUPLICATE_EPS = 1e-9
 _SOLE_MARGIN = 1e-9
 # Initial vertex capacity of a SearchTree; it doubles when full.
 _TREE_CAPACITY = 1024
+# Tree size from which sq_dists reuses the tree's difference array: a fresh
+# one is cheaper below it, and the two forms meet between 384 and 512.
+_SCAN_CROSSOVER = 512
 # Doubles drawn per generator call in uniform and heuristic modes.
 _DRAW_BLOCK = 1024
 
@@ -113,13 +117,21 @@ class SearchTree:
     it joins x_new to the nearest vertex from that same scan, since no other
     vertex can lie within the rewire radius of x_new (_extend_truncated).
 
-    Vertices live in _xyz, a (3, capacity) array with one contiguous row per
-    axis, so the scan is four whole-row operations rather than numpy loops
-    over rows three doubles long; points is the (n, 3) transposed view. The
-    scan adds (dx^2 + dz^2) + dy^2, the order einsum("ij,ij->i") uses on a
-    C-contiguous (n, 3) array, so distances, and with them trees, are bit
-    for bit those of that formula; adding x^2 + y^2 first differs in the
-    last bit on about a quarter of distances.
+    Each vertex is stored twice. _xyz, a (3, capacity) array with one
+    contiguous row per axis, serves the scan: four whole-row operations
+    rather than numpy loops over rows three doubles long; points is the
+    (n, 3) transposed view. _pts holds the same coordinates as a list of
+    float tuples, and _cost the costs as a list of floats, because the
+    iteration reads and updates single vertices, which Python does far
+    faster than numpy's scalar indexing. cost is a read-only array copy of
+    _cost.
+
+    The scan adds (dx^2 + dz^2) + dy^2, the order einsum("ij,ij->i") uses
+    on a C-contiguous (n, 3) array, so distances, and with them trees, are
+    bit for bit those of that formula; adding x^2 + y^2 first differs in the
+    last bit on about a quarter of distances. From _SCAN_CROSSOVER vertices
+    on, it writes the differences into _diff, a (3, capacity) array the tree
+    keeps, rather than into a fresh one.
 
     rewires counts set_parent calls. Costs change nowhere else once a vertex
     is added, so a caller that saw the count unchanged knows every cost is
@@ -129,8 +141,10 @@ class SearchTree:
     def __init__(self, root):
         self._xyz = np.empty((3, _TREE_CAPACITY), dtype=float)
         self._xyz[:, 0] = np.asarray(root, dtype=float)
+        self._diff = np.empty_like(self._xyz)
+        self._pts = [tuple(self._xyz[:, 0].tolist())]
+        self._cost = [0.0]
         self.parent = [-1]
-        self.cost = np.zeros(_TREE_CAPACITY, dtype=float)
         self.children: list[list[int]] = [[]]
         self.n = 1
         self.rewires = 0
@@ -139,21 +153,33 @@ class SearchTree:
     def points(self) -> np.ndarray:
         return self._xyz[:, : self.n].T
 
+    @property
+    def cost(self) -> np.ndarray:
+        """Costs from the start, in vertex order: a read-only copy."""
+        cost = np.array(self._cost, dtype=float)
+        cost.flags.writeable = False
+        return cost
+
     def _grow(self):
         cap = 2 * self._xyz.shape[1]
         xyz = np.empty((3, cap), dtype=float)
         xyz[:, : self.n] = self._xyz[:, : self.n]
         self._xyz = xyz
-        cost = np.zeros(cap, dtype=float)
-        cost[: self.n] = self.cost[: self.n]
-        self.cost = cost
+        self._diff = np.empty_like(xyz)
 
     def add(self, p, parent: int, cost: float) -> int:
-        if self.n == self._xyz.shape[1]:
-            self._grow()
         i = self.n
-        self._xyz[:, i] = p
-        self.cost[i] = cost
+        if i == self._xyz.shape[1]:
+            self._grow()
+        x, y, z = p
+        x, y, z = float(x), float(y), float(z)
+        # Three scalar stores cost less than one column store from a tuple.
+        xyz = self._xyz
+        xyz[0, i] = x
+        xyz[1, i] = y
+        xyz[2, i] = z
+        self._pts.append((x, y, z))
+        self._cost.append(float(cost))
         self.parent.append(parent)
         self.children.append([])
         self.children[parent].append(i)
@@ -161,8 +187,14 @@ class SearchTree:
         return i
 
     def sq_dists(self, p) -> np.ndarray:
-        """Squared distances from p to every vertex, in index order."""
-        d = self._xyz[:, : self.n] - np.asarray(p, dtype=float)[:, None]
+        """Squared distances from p to every vertex, in index order, as a
+        new array."""
+        n = self.n
+        q = np.asarray(p, dtype=float)[:, None]
+        if n < _SCAN_CROSSOVER:
+            d = self._xyz[:, :n] - q
+        else:
+            d = np.subtract(self._xyz[:, :n], q, out=self._diff[:, :n])
         d *= d
         # x and z first, then y: einsum's order on a C-contiguous (n, 3)
         # array, which keeps every distance bit-identical to it.
@@ -180,12 +212,13 @@ class SearchTree:
         self.children[self.parent[v]].remove(v)
         self.parent[v] = new_parent
         self.children[new_parent].append(v)
-        delta = new_cost - self.cost[v]
+        cost, children = self._cost, self.children
+        delta = new_cost - cost[v]
         stack = [v]
         while stack:
             u = stack.pop()
-            self.cost[u] += delta
-            stack.extend(self.children[u])
+            cost[u] += delta
+            stack.extend(children[u])
 
     def path_to(self, v: int) -> np.ndarray:
         idx = []
@@ -265,42 +298,49 @@ def extend_and_rewire(
     of existing vertices (distance < 1e-9) are rejected by returning the
     existing index.
 
-    Numpy does only the O(n) work: the argmin over d2 and the one mask that
-    picks the near set. The near set averages about three vertices, so its
+    Numpy does only the O(n) work: the one mask that picks the near set.
+    The near set averages about three vertices, so its nearest vertex,
     distances, costs, candidate order and rewire tests run on Python floats,
     which round as numpy's float64 does (math.sqrt is correctly rounded like
-    np.sqrt), and candidates of equal cost keep index order.
+    np.sqrt), and candidates of equal cost keep index order. A non-empty
+    near set holds every vertex at the smallest distance, so its first
+    nearest vertex in index order is d2's argmin; only an empty one makes
+    the argmin scan the whole tree.
     """
-    nearest = int(d2.argmin())
-    d_nearest = math.sqrt(d2[nearest])
-    if d_nearest < _DUPLICATE_EPS:
-        return nearest
     near = (d2 <= radius * radius).nonzero()[0]
     near_idx = near.tolist()
-    dists = [math.sqrt(d) for d in d2[near].tolist()]
-    near_costs = tree.cost[near].tolist()
-    through = [c + d for c, d in zip(near_costs, dists)]
+    if near_idx:
+        near_d2 = d2[near].tolist()
+        d2_nearest = min(near_d2)
+        nearest = near_idx[near_d2.index(d2_nearest)]
+    else:
+        nearest = int(d2.argmin())
+        d2_nearest = d2.item(nearest)
+        near_d2 = []
+    d_nearest = math.sqrt(d2_nearest)
+    if d_nearest < _DUPLICATE_EPS:
+        return nearest
+    cost, pts = tree._cost, tree._pts
+    dists = list(map(math.sqrt, near_d2))
+    near_costs = list(map(cost.__getitem__, near_idx))
+    through = list(map(operator.add, near_costs, dists))
 
     parent = nearest
-    best_cost = tree.cost.item(nearest) + d_nearest
+    best_cost = cost[nearest] + d_nearest
     for k in sorted(range(len(through)), key=through.__getitem__):
         if through[k] >= best_cost:
             break
         v = near_idx[k]
-        if segment_collision_free(grid, tree._xyz[:, v].tolist(), x_new):
+        if segment_collision_free(grid, pts[v], x_new):
             parent, best_cost = v, through[k]
             break
     new_idx = tree.add(x_new, parent, best_cost)
 
-    # add replaces both arrays when it doubles the capacity: read them now.
-    cost, xyz = tree.cost, tree._xyz
     for v, d, c in zip(near_idx, dists, near_costs):
         c_through = best_cost + d
         if c_through < c - 1e-12 and v != parent:
             # Rewiring above may already have lowered cost[v]; recheck.
-            if c_through < cost.item(v) - 1e-12 and segment_collision_free(
-                grid, x_new, xyz[:, v].tolist()
-            ):
+            if c_through < cost[v] - 1e-12 and segment_collision_free(grid, x_new, pts[v]):
                 tree.set_parent(v, new_idx, c_through)
     return new_idx
 
@@ -338,7 +378,7 @@ def _extend_truncated(
     lim = d + _SOLE_MARGIN * (abs(rx) + abs(ry) + abs(rz) + 2.0 * d)
     if np.count_nonzero(d2 <= lim * lim) != 1:
         return extend_and_rewire(tree, x_new, grid, radius, tree.sq_dists(x_new))
-    nx, ny, nz = tree._xyz[:, nearest].tolist()
+    nx, ny, nz = tree._pts[nearest]
     xx, xy, xz = x_new
     dx = nx - xx
     dy = ny - xy
@@ -346,7 +386,7 @@ def _extend_truncated(
     dist = math.sqrt((dx * dx + dz * dz) + dy * dy)
     if dist < _DUPLICATE_EPS:
         return nearest
-    return tree.add(x_new, nearest, tree.cost.item(nearest) + dist)
+    return tree.add(x_new, nearest, tree._cost[nearest] + dist)
 
 
 def plan(
@@ -392,6 +432,13 @@ def plan(
     of that test safe and falls back to a scan from x_new on a near-tie).
     The trees are those of a rescan plus extend_and_rewire, bit for bit.
 
+    Numpy does only an iteration's O(n) work: the scan, its argmin and
+    extend_and_rewire's near-set mask. The rest reads and writes the tree's
+    Python lists of coordinate tuples and costs, and the shrinking radius
+    and the goal test are inlined with the float expressions of
+    shrinking_radius and GoalRegion.contains, so every value is the one
+    those give.
+
     A sample whose steered point duplicates a vertex (within 1e-9) is
     rejected by extend_and_rewire or _extend_truncated alone, and the
     iteration adds nothing.
@@ -427,6 +474,10 @@ def plan(
     pos = 0
 
     tree = SearchTree(start)
+    # Both lists only grow, so these names stay the tree's own.
+    pts, cost = tree._pts, tree._cost
+    gx, gy, gz = goal.center.tolist()
+    goal_r2 = goal.radius * goal.radius
     goal_vertices: list[int] = []
     best_cost = math.inf
     rewires = 0
@@ -456,27 +507,34 @@ def plan(
 
         d2 = tree.sq_dists((rx, ry, rz))
         nearest = int(d2.argmin())
-        nx, ny, nz = tree._xyz[:, nearest].tolist()
+        p_near = pts[nearest]
+        nx, ny, nz = p_near
         xx, xy, xz, truncated = _steer(nx, ny, nz, rx, ry, rz, step)
         x_new = (xx, xy, xz)
-        if not segment_collision_free(grid, (nx, ny, nz), x_new):
+        if not segment_collision_free(grid, p_near, x_new):
             continue
-        radius = shrinking_radius(tree.n, step, gamma)
-        before = tree.n
+        # shrinking_radius(n, step, gamma), inline.
+        n = tree.n
+        radius = step if n < 2 else min(step, gamma * (math.log(n) / n) ** (1.0 / 3))
         if truncated:
             idx = _extend_truncated(tree, x_new, grid, radius, d2, nearest, (rx, ry, rz))
         else:
             idx = extend_and_rewire(tree, x_new, grid, radius, d2)
-        if tree.n == before:
+        if tree.n == n:
             continue  # duplicate rejected
-        if goal.contains(x_new):
+        # goal.contains(x_new), inline.
+        dx = xx - gx
+        dy = xy - gy
+        dz = xz - gz
+        if dx * dx + dy * dy + dz * dz < goal_r2:
             goal_vertices.append(idx)
         elif not goal_vertices or tree.rewires == rewires:
             continue  # no goal vertex cost has changed
 
         rewires = tree.rewires
-        best = goal_vertices[int(tree.cost[goal_vertices].argmin())]
-        best_cost = float(tree.cost[best])
+        # The first of equal costs, as argmin takes.
+        best = min(goal_vertices, key=cost.__getitem__)
+        best_cost = cost[best]
         if not stats.success:
             stats.success = True
             stats.initial_iterations = it

@@ -243,19 +243,22 @@ def test_sq_dists_recomputed_after_add():
 
 def test_sq_dists_matches_einsum_reference():
     """The per-axis scan equals einsum on a C-contiguous (n, 3) copy bit for
-    bit, on trees grown past both capacity doublings (1024 and 2048), for
-    random and lattice queries given as tuple, list or ndarray; points keeps
-    every vertex added, in order."""
+    bit, on trees grown past both capacity doublings (1024 and 2048) and
+    either side of the size where the scan starts reusing the tree's
+    difference array, for random and lattice queries given as tuple, list
+    or ndarray; points keeps every vertex added, in order."""
     rng = np.random.default_rng(7)
     added = rng.uniform(-20.0, 30.0, (2500, 3))
     # Lattice vertices too: voxel centres at resolution 0.5 and integers.
     added[::7] = np.floor(added[::7]) + 0.5
     added[3::7] = np.round(added[3::7])
+    crossover = planner._SCAN_CROSSOVER
+    sizes = {2, 100, crossover - 1, crossover, crossover + 1, 1024, 1025, 2048, 2049, 2500}
     tree = SearchTree(added[0])
     checked = set()
     for k, p in enumerate(added[1:], start=1):
         tree.add(p, k - 1, float(k))
-        if tree.n not in (2, 100, 1024, 1025, 2048, 2049, 2500):
+        if tree.n not in sizes:
             continue
         checked.add(tree.n)
         assert np.array_equal(tree.points, added[: tree.n])
@@ -268,7 +271,66 @@ def test_sq_dists_matches_einsum_reference():
             want = np.einsum("ij,ij->i", diff, diff)
             for given in (tuple(q.tolist()), q.tolist(), q):
                 assert np.array_equal(tree.sq_dists(given), want)
-    assert len(checked) == 7
+    assert checked == sizes
+
+
+def test_sq_dists_returns_an_array_the_caller_owns():
+    """A scan's result survives the next scan, below and above the size
+    from which the scan reuses the tree's difference array."""
+    rng = np.random.default_rng(11)
+    crossover = planner._SCAN_CROSSOVER
+    tree = SearchTree(rng.uniform(0.0, 10.0, 3))
+    for n in (crossover - 1, crossover + 1):
+        while tree.n < n:
+            tree.add(rng.uniform(0.0, 10.0, 3), tree.n - 1, float(tree.n))
+        p, q = rng.uniform(0.0, 10.0, (2, 3))
+        first = tree.sq_dists(p)
+        kept = first.copy()
+        second = tree.sq_dists(q)
+        assert np.array_equal(first, kept), n
+        assert not np.shares_memory(first, second), n
+        assert not np.array_equal(first, second), n
+
+
+def test_tree_cost_is_a_read_only_copy_of_the_live_costs():
+    """tree.cost is a read-only array of the n costs as they are when read:
+    a rewire that lowers b's cost, and with it its child c's, shows in the
+    next read and leaves an earlier read as it was."""
+    g = empty_grid(20)
+    tree = SearchTree((1.0, 1.0, 1.0))
+    a = tree.add((1.0, 5.0, 1.0), 0, 4.0)
+    b = tree.add((5.0, 5.0, 1.0), a, 8.0)
+    c = tree.add((5.0, 6.0, 1.0), b, 9.0)
+    before = tree.cost
+    assert before.shape == (tree.n,) and not before.flags.writeable
+    with pytest.raises(ValueError):
+        before[b] = 0.0
+    p = (3.0, 3.0, 1.0)
+    # Radius 3 holds the root, a and b (all sqrt(8) away) but not c.
+    new = extend_and_rewire(tree, p, g, 3.0, tree.sq_dists(p))
+    assert tree.parent[b] == new and tree.parent[c] == b and tree.rewires == 1
+    after = tree.cost
+    assert before.tolist() == [0.0, 4.0, 8.0, 9.0]
+    assert after.shape == (tree.n,) and not after.flags.writeable
+    assert after[new] == math.sqrt(8.0)
+    assert after[b] == math.sqrt(8.0) + math.sqrt(8.0)
+    assert after[c] == 9.0 + (after[b] - 8.0)
+    check_tree_invariants(tree)
+
+
+def test_extend_ties_go_to_the_lower_index():
+    """Two vertices at the same distance and cost from x_new: the lower
+    index is the nearest vertex and the parent, whether the near set holds
+    both or is empty (radius below the distance)."""
+    g = empty_grid(20)
+    for radius in (2.0, 1e-6):
+        tree = SearchTree((1.0, 1.0, 1.0))
+        a = tree.add((5.0, 5.0, 5.0), 0, 7.0)
+        tree.add((7.0, 5.0, 5.0), 0, 7.0)
+        x_new = (6.0, 6.0, 5.0)
+        new = extend_and_rewire(tree, x_new, g, radius, tree.sq_dists(x_new))
+        assert tree.parent[new] == a, radius
+        assert tree.cost[new] == 7.0 + math.sqrt(2.0), radius
 
 
 def test_duplicate_after_nearest_returns_existing_index():
@@ -406,7 +468,7 @@ def test_informed_matches_uniform_until_first_solution():
 
 
 def test_extend_across_capacity_doubling():
-    """x_new joins a full tree, so add replaces the point and cost arrays
+    """x_new joins a full tree, so add doubles the point store's capacity
     between choosing the parent and rewiring. Near x_new sit a and its
     child b on one line with it: rewiring a lowers b's cost to exactly what
     x_new offers b, so the recheck must read the live costs and keep b
@@ -422,13 +484,13 @@ def test_extend_across_capacity_doubling():
     d = tree.add((10.0, 12.0, 10.0), 0, 2.0)
     a = tree.add((11.0, 10.0, 10.0), d, 2.0 + math.sqrt(5.0))
     b = tree.add((11.5, 10.0, 10.0), a, 2.5 + math.sqrt(5.0))
-    assert tree.n == cap == tree.cost.shape[0]
+    assert tree.n == cap == tree._xyz.shape[1]
     twin = copy.deepcopy(tree)
     x_new = (10.5, 10.0, 10.0)
     got = extend_and_rewire(tree, x_new, grid, 1.2, tree.sq_dists(x_new))
     want = reference_extend_and_rewire(twin, x_new, grid, 1.2, None)
     assert got == want == cap
-    assert tree.cost.shape[0] == 2 * cap
+    assert tree._xyz.shape[1] == 2 * cap
     assert tree.parent[cap] == 0 and tree.parent[a] == cap and tree.parent[b] == a
     assert tree.rewires == twin.rewires == 1
     assert np.array_equal(tree.points, twin.points)
