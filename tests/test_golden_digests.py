@@ -4,7 +4,9 @@ The runs are the benchmark's three workloads on a few inputs each, hashed
 with each workload's own digest, and plan_trajectory in uniform and informed
 mode (which no workload runs) on a few paperlike maps. The uniform_budget
 digest pins only the path, its cost and the vertex count, so the trees of
-its inputs are hashed whole as well: points, parents and costs. A change that claims
+its inputs are hashed whole as well: points, parents and costs. The reads
+that no workload makes are pinned on the backend inputs' trajectories:
+yaw_samples at the flag times and the export_csv file. A change that claims
 bit-identical outputs must leave every digest as it is. A change that
 alters outputs on purpose rewrites the file with
 
@@ -20,6 +22,7 @@ import hashlib
 import json
 from functools import partial
 import platform
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -27,16 +30,19 @@ import scipy
 import workloads as W
 
 from quadplan.bench import paperlike_maps
-from quadplan.pipeline import PipelineConfig, plan_trajectory
+from quadplan.pipeline import PipelineConfig, plan_trajectory, yaw_samples
 from quadplan.planner import PlannerConfig
+from quadplan.trajectory import export_csv
 
 GOLDEN = Path(__file__).with_name("golden_digests.json")
 SEED = 1
 PIPELINE = W.Pipeline(n_maps=12)
 UNIFORM = W.UniformBudget(n_maps=2)
-WORKLOADS = (PIPELINE, UNIFORM, W.Backend(n_maps=3, planner_seeds=1))
+BACKEND = W.Backend(n_maps=3, planner_seeds=1)
+WORKLOADS = (PIPELINE, UNIFORM, BACKEND)
 MODE_MAPS = 3
 MODE_ITERATIONS = 3000
+CSV_DT = 0.05
 
 
 def _environment() -> dict:
@@ -61,6 +67,20 @@ def _tree_digest(result) -> bytes:
     return h.digest()
 
 
+def _reads_digest(out) -> bytes:
+    """Each backend trajectory's yaw_samples at the flag times and its
+    export_csv file at CSV_DT."""
+    h = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "traj.csv"
+        for traj, _, _ in out:
+            times = np.arange(0.0, traj.total_duration, 1.0 / W.FLAG_RATE_HZ)
+            h.update(yaw_samples(traj, times).tobytes())
+            export_csv(traj, path, CSV_DT)
+            h.update(path.read_bytes())
+    return h.digest()
+
+
 def _mode_run(case, mode, seed):
     cfg = PipelineConfig(PlannerConfig(step=W.STEP, goal=case.goal,
                                        max_iterations=MODE_ITERATIONS, target_cost=0.0,
@@ -75,6 +95,7 @@ def compute_digests() -> dict:
     out["uniform_budget_trees"] = [
         _outcome(_tree_digest, partial(UNIFORM.op, inp)) for inp in UNIFORM.inputs(SEED)
     ]
+    out["reads"] = [_outcome(_reads_digest, partial(BACKEND.op, inp)) for inp in BACKEND.inputs(SEED)]
     cases = paperlike_maps(MODE_MAPS, seed=SEED)
     for mode in ("uniform", "informed"):
         out[f"plan_trajectory_{mode}"] = [
