@@ -72,7 +72,6 @@ from .pipeline import (
     plan_front_end,
     plan_trajectory,
     prune_collinear,
-    yaw_profile,
     yaw_samples,
 )
 from .bench import (

@@ -154,24 +154,19 @@ def plan_trajectory(
 
 def flat_flag_at(traj: PiecewisePolynomial, t: float) -> np.ndarray:
     """Stacked output and derivatives up to order traj.s-1 at time t, shape
-    (m, s): column k is the k-th derivative."""
+    (m, s): column k is the k-th derivative. The flags at many times ts are
+    traj.sample(ts, traj.s).transpose(0, 2, 1), with equal values."""
     return np.ascontiguousarray(traj.derivatives(t, traj.s).T)
 
 
-def yaw_profile(traj: PiecewisePolynomial, t: float, last_yaw: float = 0.0) -> float:
-    """Velocity-aligned yaw at time t: atan2(vy, vx), or last_yaw while the
-    horizontal speed is at most 1e-6 (nearly hovering)."""
-    v = traj.eval(t, 1)
-    if float(np.hypot(v[0], v[1])) <= 1e-6:
-        return last_yaw
-    return float(math.atan2(v[1], v[0]))
-
-
 def yaw_samples(traj: PiecewisePolynomial, times) -> np.ndarray:
-    """Sequential yaw profile over sorted sample times with hold-last fallback."""
-    out = np.zeros(len(times))
+    """Velocity-aligned yaw atan2(vy, vx) at each of the sorted times; where
+    the horizontal speed is at most 1e-6 (nearly hovering) the previous
+    sample's yaw is held, 0.0 before the first."""
+    out = []
     last = 0.0
-    for i, t in enumerate(times):
-        last = yaw_profile(traj, t, last_yaw=last)
-        out[i] = last
-    return out
+    for vx, vy in traj.sample(times, 2)[:, 1, :2].tolist():
+        if not np.hypot(vx, vy) <= 1e-6:  # a NaN speed gives a NaN yaw
+            last = math.atan2(vy, vx)
+        out.append(last)
+    return np.array(out, dtype=float)

@@ -169,6 +169,8 @@ class SearchTree:
 
     def add(self, p, parent: int, cost: float) -> int:
         i = self.n
+        if not 0 <= parent < i:
+            raise ValueError(f"parent {parent} is not a vertex of a {i}-vertex tree")
         if i == self._xyz.shape[1]:
             self._grow()
         x, y, z = p

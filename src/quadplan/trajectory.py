@@ -77,17 +77,6 @@ def _basis_table(n: int, orders: int) -> tuple[np.ndarray, np.ndarray]:
     return factors, exponents
 
 
-def _basis_rows(tau, n: int, orders: int) -> np.ndarray:
-    """Rows k = 0..orders-1 of the derivative basis at tau, (orders, n); a
-    column of times tau[:, None] with orders=1 gives one row 0 per time.
-
-    np.float_power calls the C library's pow, as a scalar tau ** (j - k)
-    does (np.power on float64 arrays may take a SIMD pow that differs in the
-    last bit), so each entry equals perm(j, k) * tau ** (j - k)."""
-    factors, exponents = _basis_table(n, orders)
-    return factors * np.float_power(tau, exponents)
-
-
 @dataclass
 class BivpSpec:
     """Boundary-intermediate value problem for an M-segment polynomial spline.
@@ -312,9 +301,7 @@ class PiecewisePolynomial:
     def derivatives(self, t: float, orders: int) -> np.ndarray:
         """Derivatives 0..orders-1 of the trajectory at global time t, as an
         (orders, m) array whose row k is eval(t, k). Needs 1 <= orders <= 2s.
-
-        The basis of _basis_rows is inlined: flat-flag sampling calls this
-        once per sample."""
+        The read of one time; sample reads many, with equal bits."""
         knots = self._knot_list
         if not 0.0 <= t <= knots[-1]:
             raise DomainError(f"t={t} outside [0, {knots[-1]}]")
@@ -324,11 +311,33 @@ class PiecewisePolynomial:
         coeffs = self.coeffs
         i = min(bisect.bisect_right(knots, t) - 1, len(coeffs) - 1)
         factors, exponents = _basis_table(n, orders)
+        # np.float_power is the C library's pow, which a scalar tau ** (j - k)
+        # calls; np.power may take a SIMD pow that differs in the last bit.
         basis = factors * np.float_power(t - knots[i], exponents)
         # A stack of vector-matrix products sums each row as one basis row
         # @ coeffs[i] does; a 2-D basis @ coeffs product may sum in another
         # order.
         return np.matmul(basis[:, None, :], coeffs[i])[:, 0, :]
+
+    def sample(self, ts, orders: int) -> np.ndarray:
+        """derivatives(t, orders) for each t of the 1-D array ts, stacked
+        (N, orders, m) with equal bits: the same segment rule, basis and
+        per-row products, over all times at once. A ts of another dimension
+        or an order outside 1..2s is a ValueError, a time outside
+        [0, knots[-1]] or a NaN a DomainError."""
+        ts = np.asarray(ts, dtype=float)
+        if ts.ndim != 1:
+            raise ValueError(f"sample times must be 1-D, got shape {ts.shape}")
+        knots = self._knots
+        if not ((ts >= 0.0) & (ts <= knots[-1])).all():
+            raise DomainError(f"sample times outside [0, {knots[-1]}]")
+        n = 2 * self.s
+        if not 1 <= orders <= n:
+            raise ValueError("derivative order out of range")
+        seg = np.minimum(np.searchsorted(knots, ts, side="right") - 1, self.M - 1)
+        factors, exponents = _basis_table(n, orders)
+        basis = factors * np.float_power((ts - knots[seg])[:, None, None], exponents)
+        return np.matmul(basis[:, :, None, :], self.coeffs[seg][:, None])[:, :, 0, :]
 
     def eval(self, t: float, k: int = 0) -> np.ndarray:
         """k-th derivative of the trajectory at global time t (m-vector)."""
@@ -428,9 +437,8 @@ def _colliding_segments(traj: PiecewisePolynomial, grid: OccupancyGrid, dt: floa
     All segments are sampled in one pass. Segment i's samples are those of
     np.linspace(t0, t1, c) with c = max(2, ceil((t1 - t0) / dt) + 1): the
     times k * step + t0 with step = (t1 - t0) / (c - 1), the last set to t1.
-    They are evaluated with eval's segment lookup (a sample on a knot belongs
-    to the next segment), row 0 of the basis table and one stacked matmul, so
-    the points equal eval's.
+    Their positions are read through sample (a sample on a knot belongs to
+    the next segment), so they equal eval's.
 
     Most chords are judged from their two endpoint voxels, computed with the
     walk's own operations: the walk visits both, so a chord with an endpoint
@@ -440,21 +448,18 @@ def _colliding_segments(traj: PiecewisePolynomial, grid: OccupancyGrid, dt: floa
     non-finite sample raises ValueError.
     """
     knots = traj.knots
-    M = traj.M
     t0 = knots[:-1]
     delta = knots[1:] - t0
     counts = np.maximum(2, np.ceil(delta / dt).astype(np.intp) + 1)
     ends = np.cumsum(counts)
-    owner = np.repeat(np.arange(M), counts)  # segment index of each sample
+    owner = np.repeat(np.arange(traj.M), counts)  # segment index of each sample
     k = np.arange(ends[-1]) - (ends - counts)[owner]
     ts = k * (delta / (counts - 1))[owner] + t0[owner]
     ts[ends - 1] = knots[1:]
-    seg = np.minimum(np.searchsorted(knots, ts, side="right") - 1, M - 1)
-    basis = _basis_rows((ts - knots[seg])[:, None], 2 * traj.s, 1)
     # Non-finite coefficients make inf * 0 or overflow here; the check below
     # reports them.
     with np.errstate(invalid="ignore", over="ignore"):
-        pts = np.matmul(basis[:, None, :], traj.coeffs[seg])[:, 0, :]
+        pts = traj.sample(ts, 1)[:, 0, :]
         u = (pts - grid._lo) * grid._inv
     if not np.isfinite(u).all():
         raise ValueError("trajectory sample or its voxel coordinates not finite")
@@ -538,10 +543,8 @@ def export_csv(traj: PiecewisePolynomial, path, dt: float) -> None:
         raise ValueError(f"sample step must be positive and finite, got {dt}")
     ts = np.arange(0.0, traj.total_duration + 0.5 * dt, dt)
     ts[-1] = min(ts[-1], traj.total_duration)
+    rows = traj.sample(ts, 3).reshape(len(ts), 9).tolist()
     with open(path, "w") as f:
         f.write("t,x,y,z,vx,vy,vz,ax,ay,az\n")
-        for t in ts:
-            p, v, a = traj.derivatives(t, 3)
-            f.write(
-                f"{t:.9g}," + ",".join(f"{c:.9g}" for c in (*p, *v, *a)) + "\n"
-            )
+        for t, row in zip(ts.tolist(), rows):
+            f.write(f"{t:.9g}," + ",".join(f"{c:.9g}" for c in row) + "\n")

@@ -203,6 +203,25 @@ def reference_eval(traj, t, k):
     return reference_poly_basis(t - knots[i], traj.s, k) @ traj.coeffs[i]
 
 
+def reference_yaw_samples(traj, times):
+    """yaw_samples as it was before the batched read: the former yaw_profile
+    at each time in turn, one eval each, holding the previous yaw (0.0 at
+    first) where the horizontal speed is at most 1e-6."""
+
+    def yaw_profile(t, last_yaw):
+        v = traj.eval(t, 1)
+        if float(np.hypot(v[0], v[1])) <= 1e-6:
+            return last_yaw
+        return float(math.atan2(v[1], v[0]))
+
+    out = np.zeros(len(times))
+    last = 0.0
+    for i, t in enumerate(times):
+        last = yaw_profile(t, last)
+        out[i] = last
+    return out
+
+
 def reference_build_banded_system(spec):
     """trajectory.build_banded_system as it was before the basis table: the
     same row layout built one row and one band entry at a time, from

@@ -17,12 +17,11 @@ from quadplan.pipeline import (
     plan_front_end,
     plan_trajectory,
     prune_collinear,
-    yaw_profile,
     yaw_samples,
 )
 from quadplan.planner import PlannerConfig, SearchTree, extend_and_rewire, plan
 from quadplan.regions import astar_path, dilate_path, filter_region
-from quadplan.trajectory import collision_repair
+from quadplan.trajectory import PiecewisePolynomial, collision_repair
 
 REQUIRED = inspect.Parameter.empty
 
@@ -37,6 +36,8 @@ def _fields(cls):
 def _params(fn):
     out = []
     for p in inspect.signature(fn).parameters.values():
+        if p.name == "self":
+            continue
         name = "**" + p.name if p.kind is p.VAR_KEYWORD else p.name
         out.append((name, p.default))
     return out
@@ -73,7 +74,6 @@ _SIGNATURES = {
     prune_collinear: [("waypoints", REQUIRED)],
     filter_region: [("region", REQUIRED), ("grid", REQUIRED), ("start", REQUIRED),
                     ("goal", REQUIRED)],
-    yaw_profile: [("traj", REQUIRED), ("t", REQUIRED), ("last_yaw", 0.0)],
     yaw_samples: [("traj", REQUIRED), ("times", REQUIRED)],
     SearchTree: [("root", REQUIRED)],
     extend_and_rewire: [("tree", REQUIRED), ("x_new", REQUIRED), ("grid", REQUIRED),
@@ -87,6 +87,7 @@ _SIGNATURES = {
                     ("**trial_kwargs", REQUIRED)],
     collision_repair: [("traj", REQUIRED), ("spec", REQUIRED), ("grid", REQUIRED),
                        ("v_max", REQUIRED), ("a_max", REQUIRED)],
+    PiecewisePolynomial.sample: [("ts", REQUIRED), ("orders", REQUIRED)],
 }
 
 

@@ -22,7 +22,6 @@ from quadplan.pipeline import (
     plan_front_end,
     plan_trajectory,
     prune_collinear,
-    yaw_profile,
     yaw_samples,
 )
 from quadplan.planner import PlannerConfig, plan
@@ -36,7 +35,7 @@ from quadplan.trajectory import (
     trapezoidal_time_allocation,
 )
 
-from oracles import reference_eval
+from oracles import random_bivp_spec, reference_eval, reference_yaw_samples
 
 
 def empty_grid(side=10):
@@ -288,16 +287,14 @@ def test_flat_flag_matches_eval():
         traj.derivatives(1.0, 7)  # beyond order 2s - 1
 
 
-def test_yaw_profile():
+def test_yaw_samples_heading():
     # Straight-line motion along +x, then a trajectory along +y.
     spec_x = BivpSpec.rest_to_rest(np.array([[0.0, 0, 0], [4.0, 0, 0]]), [2.0], 3)
     traj_x = solve_bivp(spec_x)
-    assert yaw_profile(traj_x, 1.0) == pytest.approx(0.0, abs=1e-9)
+    assert yaw_samples(traj_x, [1.0])[0] == pytest.approx(0.0, abs=1e-9)
     spec_y = BivpSpec.rest_to_rest(np.array([[0.0, 0, 0], [0.0, 4, 0]]), [2.0], 3)
     traj_y = solve_bivp(spec_y)
-    assert yaw_profile(traj_y, 1.0) == pytest.approx(math.pi / 2)
-    # Hover: velocity is zero at t=0; previous yaw held.
-    assert yaw_profile(traj_y, 0.0, last_yaw=0.33) == 0.33
+    assert yaw_samples(traj_y, [1.0])[0] == pytest.approx(math.pi / 2)
 
 
 def test_yaw_samples_hold_last():
@@ -310,6 +307,15 @@ def test_yaw_samples_hold_last():
     assert ys[0] == 0.0
     assert ys[-1] == pytest.approx(0.0, abs=1e-9)
     assert np.allclose(ys, 0.0, atol=1e-9)
+    # The one velocity read equals a read per time, bit for bit, on turning
+    # and hovering trajectories alike.
+    rng = np.random.default_rng(18)
+    for traj in (traj, *(solve_bivp(random_bivp_spec(rng, BivpSpec, max_segments=6))
+                         for _ in range(20))):
+        ts = np.linspace(0.0, traj.total_duration, 101)
+        want = reference_yaw_samples(traj, ts)
+        assert yaw_samples(traj, ts).tolist() == want.tolist()
+    assert yaw_samples(traj, []).shape == (0,)
 
 
 def test_goal_other_than_the_config_goal_is_rejected():

@@ -241,6 +241,25 @@ def test_sq_dists_recomputed_after_add():
     assert tree.nearest(p) == 1
 
 
+def test_add_rejects_a_parent_outside_the_tree():
+    """A parent of -1 used to make the new vertex its own child and a second
+    root, and one past the last vertex raised IndexError only after the
+    vertex was half written. Both are now ValueErrors that leave the tree as
+    it was."""
+    tree = SearchTree((0.0, 0.0, 0.0))
+    tree.add((1.0, 0.0, 0.0), 0, 1.0)
+    before = (tree.n, tree.points.copy(), tree.parent[:], [c[:] for c in tree.children],
+              tree._pts[:], tree.cost, tree.rewires)
+    for parent in (-1, 2, 5):
+        with pytest.raises(ValueError, match="parent"):
+            tree.add((2.0, 0.0, 0.0), parent, 2.0)
+        n, points, parents, children, pts, cost, rewires = before
+        assert tree.n == n and tree.rewires == rewires
+        assert np.array_equal(tree.points, points) and np.array_equal(tree.cost, cost)
+        assert tree.parent == parents and tree.children == children and tree._pts == pts
+    assert tree.path_to(tree.add((2.0, 0.0, 0.0), 1, 2.0)).tolist()[0] == [0.0, 0.0, 0.0]
+
+
 def test_sq_dists_matches_einsum_reference():
     """The per-axis scan equals einsum on a C-contiguous (n, 3) copy bit for
     bit, on trees grown past both capacity doublings (1024 and 2048) and

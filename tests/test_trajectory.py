@@ -18,7 +18,7 @@ from quadplan.trajectory import (
     RepairExhaustedError,
     SingularSystemError,
     TrajectoryFileError,
-    _basis_rows,
+    _basis_table,
     _colliding_segments,
     banded_plu_solve,
     build_banded_system,
@@ -90,20 +90,24 @@ def test_trapezoidal_rejects_non_finite_v_max(v_max):
 
 
 def test_poly_basis():
-    assert np.array_equal(_basis_rows(0.0, 6, 3), [[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0],
-                                                   [0, 0, 2, 0, 0, 0]])
-    assert np.array_equal(_basis_rows(2.0, 6, 2)[1], [0, 1, 4, 12, 32, 80])
+    factors, exponents = _basis_table(6, 3)
+    assert np.array_equal(factors * np.float_power(0.0, exponents),
+                          [[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0], [0, 0, 2, 0, 0, 0]])
+    factors, exponents = _basis_table(6, 2)
+    assert np.array_equal((factors * np.float_power(2.0, exponents))[1], [0, 1, 4, 12, 32, 80])
 
 
 def test_poly_basis_matches_scalar_powers():
-    """Rows of the basis table equal perm(j, k) * tau ** (j - k) bit for
-    bit, for Python and numpy float times."""
+    """Rows of the basis table, taken to the powers of tau with
+    np.float_power as every read does, equal perm(j, k) * tau ** (j - k)
+    bit for bit, for Python and numpy float times."""
     rng = np.random.default_rng(11)
     taus = [0.0, 1.0, 0.5, 2.0, 1e-300, 1e10, *rng.uniform(0.0, 5.0, 200)]
     for s in (1, 2, 3, 4):
+        factors, exponents = _basis_table(2 * s, 2 * s)
         for tau in taus:
             for t in (float(tau), np.float64(tau)):
-                rows = _basis_rows(t, 2 * s, 2 * s)
+                rows = factors * np.float_power(t, exponents)
                 for k in range(2 * s):
                     assert np.array_equal(rows[k], reference_poly_basis(t, s, k))
 
@@ -360,6 +364,61 @@ def test_derivatives_rows_match_eval():
             traj.derivatives(T * (1 + 1e-9), 1)
         with pytest.raises(ValueError):
             traj.eval(0.5 * T, -1)
+
+
+@st.composite
+def _trajectory_and_times(draw):
+    """A random trajectory of order s in 1..4 and dimension m in 1..3, and
+    times at 0, at every knot, a bit either side of the interior knots, at
+    the end and in between, in random order."""
+    s = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 3))
+    M = draw(st.integers(1, 6))
+    durations = draw(st.lists(st.floats(0.05, 3.0), min_size=M, max_size=M))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    traj = PiecewisePolynomial(rng.normal(size=(M, 2 * s, m)) * 3.0, durations, s)
+    knots = traj.knots.tolist()
+    near = [math.nextafter(k, d) for k in knots[1:-1] for d in (0.0, math.inf)]
+    between = draw(st.lists(st.floats(0.0, knots[-1]), max_size=12))
+    ts = np.array([0.0, *knots, *near, *between, knots[-1]])
+    return traj, rng.permutation(ts)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_trajectory_and_times())
+def test_sample_matches_derivatives(case):
+    """sample(ts, orders)[i] is derivatives(ts[i], orders) bit for bit, for
+    every order 1..2s."""
+    traj, ts = case
+    for orders in range(1, 2 * traj.s + 1):
+        got = traj.sample(ts, orders)
+        assert got.shape == (len(ts), orders, traj.m)
+        want = np.array([traj.derivatives(t, orders) for t in ts.tolist()])
+        assert got.tobytes() == want.tobytes(), orders
+
+
+def test_sample_errors_and_empty_times():
+    """A ts that is not 1-D or an order outside 1..2s is a plain ValueError;
+    a time outside [0, end], infinite or NaN is a DomainError; no times give
+    an (0, orders, m) array."""
+    rng = np.random.default_rng(17)
+    traj = solve_bivp(random_bivp_spec(rng, BivpSpec, s=3, max_segments=4))
+    end = traj.total_duration
+    for ts in (0.5, np.full((2, 2), 0.5)):
+        with pytest.raises(ValueError, match="1-D") as err:
+            traj.sample(ts, 1)
+        assert type(err.value) is ValueError
+    for bad in (-1e-300, math.nextafter(end, math.inf), math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError):
+            traj.sample(np.array([0.0, bad, end]), 1)
+    for orders in (0, 7):
+        with pytest.raises(ValueError, match="order") as err:
+            traj.sample([0.0, end], orders)
+        assert type(err.value) is ValueError
+    for ts in ([], np.empty(0)):
+        for orders in (1, 6):
+            out = traj.sample(ts, orders)
+            assert out.shape == (0, orders, 3) and out.dtype == float
 
 
 def test_import_leaves_scipy_linalg_unloaded():
@@ -707,8 +766,8 @@ def test_export_csv(tmp_path):
 
 
 def test_export_csv_matches_eval_writer(tmp_path):
-    """export_csv reads each row in one derivatives call; the file is byte
-    for byte the one a writer calling eval per order makes."""
+    """export_csv reads every row in one sample call; the file is byte for
+    byte the one a writer calling eval per time and order makes."""
     rng = np.random.default_rng(15)
     for s in (2, 3, 4):
         traj = solve_bivp(random_bivp_spec(rng, BivpSpec, s=s, max_segments=6))
