@@ -27,6 +27,14 @@ class PlacementError(Exception):
     """Obstacle placement failed within the retry budget (over-dense spec)."""
 
 
+def _read_only_copy(a, dtype) -> np.ndarray:
+    """Read-only C-order copy of a as dtype: what a value object keeps of an
+    array it is given, which no later write by the caller reaches."""
+    out = np.array(a, dtype=dtype, order="C")
+    out.setflags(write=False)
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class GoalRegion:
     """Spherical goal set: reached when ||x - center|| < radius.
@@ -40,12 +48,11 @@ class GoalRegion:
     radius: float
 
     def __post_init__(self):
-        center = np.array(self.center, dtype=float)
+        center = _read_only_copy(self.center, float)
         if center.shape != (3,) or not np.all(np.isfinite(center)):
             raise ValueError("goal center must be a finite 3-vector")
         if not (self.radius > 0 and math.isfinite(self.radius)):
             raise ValueError("goal radius must be positive and finite")
-        center.setflags(write=False)
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "_xyz", tuple(center.tolist()))
 
@@ -67,7 +74,8 @@ class GoalRegion:
 
 @dataclass(frozen=True, eq=False)
 class OccupancyGrid:
-    """Dense boolean voxel grid. True = obstacle. Immutable after construction.
+    """Dense boolean voxel grid. True = obstacle. Immutable after construction:
+    occupancy and origin are read-only copies of the arrays given.
 
     World/index convention: point p lies in voxel floor((p - origin) * inv)
     per axis, with inv = 1 / resolution, on Python floats. That is about the
@@ -81,15 +89,14 @@ class OccupancyGrid:
     origin: np.ndarray = (0.0, 0.0, 0.0)
 
     def __post_init__(self):
-        occ = np.ascontiguousarray(self.occupancy, dtype=bool)
+        occ = _read_only_copy(self.occupancy, bool)
         if occ.ndim != 3 or min(occ.shape) < 1:
             raise ValueError("occupancy must be a 3D array with all dims >= 1")
         if not (self.resolution > 0 and math.isfinite(self.resolution)):
             raise ValueError("resolution must be positive and finite")
-        origin = np.asarray(self.origin, dtype=float)
+        origin = _read_only_copy(self.origin, float)
         if origin.shape != (3,) or not np.all(np.isfinite(origin)):
             raise ValueError("origin must be a finite 3-vector")
-        occ.setflags(write=False)
         object.__setattr__(self, "occupancy", occ)
         object.__setattr__(self, "origin", origin)
         object.__setattr__(self, "resolution", float(self.resolution))
@@ -101,8 +108,7 @@ class OccupancyGrid:
         if not isinstance(other, OccupancyGrid):
             return NotImplemented
         return (
-            self.occupancy.shape == other.occupancy.shape
-            and self.resolution == other.resolution
+            self.resolution == other.resolution
             and np.array_equal(self.origin, other.origin)
             and np.array_equal(self.occupancy, other.occupancy)
         )
@@ -136,10 +142,6 @@ class OccupancyGrid:
     def index_to_world(self, idx) -> np.ndarray:
         """World coordinates of the voxel center."""
         return self.origin + (np.asarray(idx, dtype=float) + 0.5) * self.resolution
-
-    def in_bounds_index(self, idx) -> bool:
-        idx = np.asarray(idx)
-        return bool(np.all(idx >= 0) and np.all(idx < self.dims))
 
     def is_free_world(self, p) -> bool:
         """Point query; out of bounds counts as occupied."""

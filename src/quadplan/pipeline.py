@@ -142,7 +142,7 @@ def plan_trajectory(
     collision checker and reproduces the rest-to-rest boundary flags.
 
     goal must equal cfg.planner.goal; a different one is a ValueError."""
-    planning_grid = inflate(grid, cfg.inflate_radius) if cfg.inflate_radius else grid
+    planning_grid = inflate(grid, cfg.inflate_radius)
     result = plan_front_end(planning_grid, start, goal, cfg.planner, mode, region)
     if result.path is None:
         raise PlanningFailure(f"no path within {cfg.planner.max_iterations} iterations")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GoalRegion, OccupancyGrid, segment_collision_free
+from .grid import GoalRegion, OccupancyGrid, _read_only_copy, segment_collision_free
 from .regions import HeuristicRegion, RegionSampler
 
 _DUPLICATE_EPS = 1e-9
@@ -120,9 +120,9 @@ class SearchTree:
     Each vertex is stored twice. _xyz, a (3, capacity) array with one
     contiguous row per axis, serves the scan: four whole-row operations
     rather than numpy loops over rows three doubles long; points is the
-    (n, 3) transposed view. _pts holds the same coordinates as a list of
-    float tuples, and _cost the costs as a list of floats, because the
-    iteration reads and updates single vertices, which Python does far
+    read-only (n, 3) transposed view. _pts holds the same coordinates as a
+    list of float tuples, and _cost the costs as a list of floats, because
+    the iteration reads and updates single vertices, which Python does far
     faster than numpy's scalar indexing. cost is a read-only array copy of
     _cost.
 
@@ -151,14 +151,15 @@ class SearchTree:
 
     @property
     def points(self) -> np.ndarray:
-        return self._xyz[:, : self.n].T
+        """(n, 3) view of _xyz, read-only: a write through it would miss _pts."""
+        points = self._xyz[:, : self.n].T
+        points.flags.writeable = False
+        return points
 
     @property
     def cost(self) -> np.ndarray:
         """Costs from the start, in vertex order: a read-only copy."""
-        cost = np.array(self._cost, dtype=float)
-        cost.flags.writeable = False
-        return cost
+        return _read_only_copy(self._cost, float)
 
     def _grow(self):
         cap = 2 * self._xyz.shape[1]

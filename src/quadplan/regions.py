@@ -17,21 +17,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import OccupancyGrid
+from .grid import OccupancyGrid, _read_only_copy
 
 REGION_MAGIC = b"MNRHEUR1"
 
 _REGION_HEADER = struct.Struct("<8s3i")
 
-# 26-connected neighborhood: offsets and Euclidean step costs (1, sqrt2, sqrt3).
-_OFFSETS = np.array(
-    [o for o in itertools.product((-1, 0, 1), repeat=3) if o != (0, 0, 0)], dtype=int
-)
-_STEP_COSTS = np.linalg.norm(_OFFSETS, axis=1)
-
 _CUBE = np.ones((3, 3, 3), dtype=bool)
 # The 27 voxel offsets of a 3x3x3 cube, centre included.
 _CUBE_OFFSETS = np.array(list(itertools.product((-1, 0, 1), repeat=3)), dtype=int)
+# 26-connected neighborhood: offsets and Euclidean step costs (1, sqrt2, sqrt3).
+_OFFSETS = _CUBE_OFFSETS[_CUBE_OFFSETS.any(axis=1)]
+_STEP_COSTS = np.linalg.norm(_OFFSETS, axis=1)
 
 
 class NoPathError(Exception):
@@ -46,30 +43,37 @@ class RegionFileError(Exception):
     """Malformed header, truncated payload or invalid values in a region file."""
 
 
+def _voxel(v, dims, name) -> tuple[int, int, int]:
+    """Voxel argument v as an int triple; ValueError unless 0 <= c < dims on
+    every axis, since a negative index would wrap to the far face."""
+    idx = tuple(int(c) for c in np.asarray(v))
+    if len(idx) != 3 or not all(0 <= c < d for c, d in zip(idx, dims)):
+        raise ValueError(f"{name} voxel {idx} outside dims {dims}")
+    return idx
+
+
 @dataclass(frozen=True, eq=False)
 class HeuristicRegion:
     """Per-voxel probability field in [0, 1] aligned to a companion grid.
 
-    Mask-style regions (the oracle's output) use exactly 0 or 1.
+    Mask-style regions (the oracle's output) use exactly 0 or 1. values is a
+    read-only float32 copy of the array given.
     """
 
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.ascontiguousarray(self.values, dtype=np.float32)
+        vals = _read_only_copy(self.values, np.float32)
         if vals.ndim != 3:
             raise ValueError("region values must be a 3D array")
         if np.any(vals < 0.0) or np.any(vals > 1.0) or not np.all(np.isfinite(vals)):
             raise ValueError("region values must lie in [0, 1]")
-        vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
     def __eq__(self, other):
         if not isinstance(other, HeuristicRegion):
             return NotImplemented
-        return self.values.shape == other.values.shape and np.array_equal(
-            self.values, other.values
-        )
+        return np.array_equal(self.values, other.values)
 
     @property
     def dims(self) -> tuple[int, int, int]:
@@ -101,11 +105,9 @@ def astar_path(grid: OccupancyGrid, start, goal) -> np.ndarray:
     math.sqrt of an integer sum of squares, which is exact before the root,
     so f and h equal those of a float norm bit for bit.
     """
-    start = tuple(int(c) for c in np.asarray(start))
-    goal = tuple(int(c) for c in np.asarray(goal))
+    start = _voxel(start, grid.dims, "start")
+    goal = _voxel(goal, grid.dims, "goal")
     for name, v in (("start", start), ("goal", goal)):
-        if not grid.in_bounds_index(v):
-            raise ValueError(f"{name} voxel {v} out of bounds")
         if grid.occupancy[v]:
             raise ValueError(f"{name} voxel {v} is occupied")
     if start == goal:
@@ -214,8 +216,8 @@ def filter_region(region: HeuristicRegion, grid: OccupancyGrid, start, goal) -> 
     start and/or goal, and force-include the start and goal voxels."""
     if region.dims != grid.dims:
         raise ValueError(f"region dims {region.dims} != grid dims {grid.dims}")
-    start = tuple(int(c) for c in np.asarray(start))
-    goal = tuple(int(c) for c in np.asarray(goal))
+    start = _voxel(start, grid.dims, "start")
+    goal = _voxel(goal, grid.dims, "goal")
     # Imported here, as in grid.inflate: plan_front_end filters only a region
     # passed in, so the default pipeline never calls this.
     from scipy import ndimage
@@ -230,7 +232,7 @@ def filter_region(region: HeuristicRegion, grid: OccupancyGrid, start, goal) -> 
     mask = np.isin(labels, list(keep))
     mask[start] = True
     mask[goal] = True
-    return HeuristicRegion(mask.astype(np.float32))
+    return HeuristicRegion(mask)
 
 
 def connectivity_penalty(region: HeuristicRegion, delta: float) -> float:
@@ -276,9 +278,10 @@ def safety_penalty(region: HeuristicRegion, grid: OccupancyGrid) -> float:
 
 
 def is_connected(region: HeuristicRegion, start, goal) -> bool:
-    """True iff a 26-connected path of region voxels joins start to goal."""
-    start = tuple(int(c) for c in np.asarray(start))
-    goal = tuple(int(c) for c in np.asarray(goal))
+    """True iff a 26-connected path of region voxels joins start to goal.
+    A start or goal outside the region's dims is a ValueError."""
+    start = _voxel(start, region.dims, "start")
+    goal = _voxel(goal, region.dims, "goal")
     mask = region.mask
     if not (mask[start] and mask[goal]):
         return False

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grid import OccupancyGrid, segment_collision_free
+from .grid import OccupancyGrid, _read_only_copy, segment_collision_free
 
 
 class SingularSystemError(Exception):
@@ -254,10 +254,10 @@ class PiecewisePolynomial:
     """M segments of degree 2s-1 over local time tau in [0, T_i].
 
     coeffs[i, j, :] is the m-vector coefficient of tau^j on segment i.
-    durations is a read-only copy of the given array, so the knots computed
-    here stay valid. The last knot, their cumulative sum, is the end time:
-    the domain is [0, knots[-1]], and segment i covers [knots[i],
-    knots[i+1]), the last segment closed.
+    coeffs and durations are read-only copies of the arrays given, so the
+    knots computed here stay valid. The last knot, the durations' cumulative
+    sum, is the end time: the domain is [0, knots[-1]], and segment i covers
+    [knots[i], knots[i+1]), the last segment closed.
     """
 
     coeffs: np.ndarray  # (M, 2s, m)
@@ -265,9 +265,8 @@ class PiecewisePolynomial:
     s: int
 
     def __post_init__(self):
-        durations = np.array(self.durations, dtype=float)
-        durations.setflags(write=False)
-        object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=float))
+        durations = _read_only_copy(self.durations, float)
+        object.__setattr__(self, "coeffs", _read_only_copy(self.coeffs, float))
         object.__setattr__(self, "durations", durations)
         if self.coeffs.ndim != 3 or self.coeffs.shape[1] != 2 * self.s:
             raise ValueError("coefficient stack must have shape (M, 2s, m)")

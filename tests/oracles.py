@@ -317,7 +317,7 @@ def reference_astar_path(grid, start, goal, no_path_error):
     start = tuple(int(c) for c in np.asarray(start))
     goal = tuple(int(c) for c in np.asarray(goal))
     for name, v in (("start", start), ("goal", goal)):
-        if not grid.in_bounds_index(v):
+        if not all(0 <= c < d for c, d in zip(v, grid.dims)):
             raise ValueError(f"{name} voxel {v} out of bounds")
         if grid.occupancy[v]:
             raise ValueError(f"{name} voxel {v} is occupied")

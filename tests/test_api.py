@@ -3,13 +3,16 @@
 Every config field and keyword parameter is something a caller can set and
 the library must keep working. A new one has to be added here on purpose,
 and named in CHANGES.md; one that no caller sets should become a constant.
+The package's public names are pinned the same way.
 """
 
 import dataclasses
 import inspect
+import types
 
 import pytest
 
+import quadplan
 from quadplan.bench import run_benchmark, run_trial
 from quadplan.grid import GoalRegion
 from quadplan.pipeline import (
@@ -94,3 +97,32 @@ _SIGNATURES = {
 @pytest.mark.parametrize("fn", list(_SIGNATURES), ids=lambda fn: fn.__name__)
 def test_keyword_parameters_are_pinned(fn):
     assert _params(fn) == _SIGNATURES[fn]
+
+
+PUBLIC_NAMES = [
+    "AggregateReport", "BandedSystem", "BenchCase", "BivpSpec", "DomainError",
+    "EmptyRegionError", "GoalRegion", "HeuristicRegion", "MapFileError", "NoPathError",
+    "ObstacleSpec", "OccupancyGrid", "PiecewisePolynomial", "PipelineConfig",
+    "PipelineResult", "PlacementError", "PlanResult", "PlanStats", "PlannerConfig",
+    "PlanningFailure", "RegionFileError", "RegionSampler", "RepairExhaustedError",
+    "SearchTree", "SingularSystemError", "TrajectoryFileError", "TrialRecord",
+    "astar_path", "banded_plu_solve", "build_banded_system", "collision_repair",
+    "connectivity_penalty", "control_effort", "export_csv", "extend_and_rewire",
+    "filter_region", "flat_flag_at", "inflate", "informed_sample", "is_connected",
+    "is_safe", "load_grid", "load_region", "load_trajectory", "oracle_region",
+    "paperlike_maps", "plan", "plan_front_end", "plan_trajectory", "prune_collinear",
+    "random_cluttered_map", "rewire_radius_bound", "run_benchmark", "run_trial",
+    "safety_penalty", "save_grid", "save_path", "save_region", "save_trajectory",
+    "segment_collision_free", "shrinking_radius", "solve_bivp",
+    "trapezoidal_time_allocation", "write_report", "yaw_samples",
+]
+
+
+def test_public_names_are_pinned():
+    """The names quadplan exports, submodules aside: adding or removing one
+    is a deliberate change to this list."""
+    names = sorted(
+        name for name, value in vars(quadplan).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    )
+    assert names == PUBLIC_NAMES

@@ -55,9 +55,26 @@ def test_grid_validation():
 
 
 def test_grid_immutable():
+    """occupancy and origin are read-only copies: the caller's arrays stay
+    writable, and a later write to them, or to a base the occupancy was
+    sliced from, moves nothing in the grid or its voxel map."""
     g = empty_grid(4)
     with pytest.raises(ValueError):
         g.occupancy[0, 0, 0] = True
+    with pytest.raises(ValueError):
+        g.origin[0] = 1.0
+    base = np.zeros((8, 4, 4), dtype=bool)
+    origin = np.zeros(3)
+    g = OccupancyGrid(base[:4], 1.0, origin)
+    assert base.flags.writeable and origin.flags.writeable
+    assert not np.shares_memory(g.occupancy, base)
+    base[0, 0, 0] = True
+    origin[0] = 10.0
+    assert not g.occupancy.any()
+    assert g.origin.tolist() == [0.0, 0.0, 0.0]
+    assert g.upper.tolist() == [4.0, 4.0, 4.0]
+    assert g.world_to_index(g.index_to_world((0, 0, 0))) == (0, 0, 0)
+    assert g.is_free_world((0.5, 0.5, 0.5))
 
 
 def test_goal_region():

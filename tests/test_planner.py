@@ -314,7 +314,9 @@ def test_sq_dists_returns_an_array_the_caller_owns():
 def test_tree_cost_is_a_read_only_copy_of_the_live_costs():
     """tree.cost is a read-only array of the n costs as they are when read:
     a rewire that lowers b's cost, and with it its child c's, shows in the
-    next read and leaves an earlier read as it was."""
+    next read and leaves an earlier read as it was. tree.points is a
+    read-only view, since a write through it would reach the scan's array
+    but not the coordinate tuples that extend_and_rewire reads."""
     g = empty_grid(20)
     tree = SearchTree((1.0, 1.0, 1.0))
     a = tree.add((1.0, 5.0, 1.0), 0, 4.0)
@@ -324,6 +326,11 @@ def test_tree_cost_is_a_read_only_copy_of_the_live_costs():
     assert before.shape == (tree.n,) and not before.flags.writeable
     with pytest.raises(ValueError):
         before[b] = 0.0
+    points = tree.points
+    assert points.shape == (tree.n, 3) and not points.flags.writeable
+    with pytest.raises(ValueError):
+        points[a, 0] = 5.0
+    assert tree.path_to(a).tolist() == [[1.0, 1.0, 1.0], [1.0, 5.0, 1.0]]
     p = (3.0, 3.0, 1.0)
     # Radius 3 holds the root, a and b (all sqrt(8) away) but not c.
     new = extend_and_rewire(tree, p, g, 3.0, tree.sq_dists(p))

@@ -87,9 +87,17 @@ def test_region_validation():
         HeuristicRegion(np.full((2, 2, 2), 1.5, dtype=np.float32))
     with pytest.raises(ValueError):
         HeuristicRegion(np.full((2, 2, 2), -0.1, dtype=np.float32))
-    r = HeuristicRegion(np.ones((2, 2, 2), dtype=np.float32))
+    given = np.ones((2, 2, 2), dtype=np.float32)
+    r = HeuristicRegion(given)
     assert r.dims == (2, 2, 2)
     assert r.member_indices().shape == (8, 3)
+    # values is a read-only copy: the caller's float32 array is neither kept
+    # nor frozen, and a later write to it leaves the region as it was.
+    assert given.flags.writeable and not r.values.flags.writeable
+    with pytest.raises(ValueError):
+        r.values[0, 0, 0] = 0.0
+    given[0, 0, 0] = 0.0
+    assert r.values.min() == 1.0 and len(r.member_indices()) == 8
 
 
 # -------------------------------------------------------------------------- A*
@@ -116,6 +124,23 @@ def test_astar_trivial_and_errors():
         astar_path(g, (0, 0, 0), (8, 0, 0))
     with pytest.raises(ValueError):
         astar_path(grid_with([(1, 1, 1)]), (1, 1, 1), (5, 5, 5))
+
+
+@pytest.mark.parametrize("outside", [(-1, 0, 0), (8, 0, 0), (0, 0, 8)])
+def test_voxel_arguments_outside_the_grid_are_rejected(outside):
+    """Every function taking a start or goal voxel rejects one outside the
+    grid with ValueError: a negative index would wrap to the far face (a
+    full region made is_connected say True), and one at dims would raise a
+    bare IndexError."""
+    g = empty_grid()
+    full = HeuristicRegion(np.ones(g.dims, dtype=np.float32))
+    for start, goal in ((outside, (4, 4, 4)), ((4, 4, 4), outside)):
+        with pytest.raises(ValueError, match="outside dims"):
+            astar_path(g, start, goal)
+        with pytest.raises(ValueError, match="outside dims"):
+            filter_region(full, g, start, goal)
+        with pytest.raises(ValueError, match="outside dims"):
+            is_connected(full, start, goal)
 
 
 def test_astar_matches_dijkstra():

@@ -309,15 +309,19 @@ def test_segment_lookup_conventions():
 
 def test_durations_and_knots_are_read_only():
     """The knots are computed once, so the durations they come from must not
-    change under them; the caller's array is copied and left as it was."""
+    change under them; the caller's arrays, coefficients included, are
+    copied and left as they were."""
     given = np.array([1.0, 2.0, 0.5])
-    traj = PiecewisePolynomial(np.zeros((3, 6, 2)), given, 3)
-    for arr in (traj.durations, traj.knots):
+    coeffs = np.zeros((3, 6, 2))
+    traj = PiecewisePolynomial(coeffs, given, 3)
+    for arr in (traj.durations, traj.knots, traj.coeffs):
         with pytest.raises(ValueError):
             arr[0] = 7.0
-    assert given.flags.writeable
+    assert given.flags.writeable and coeffs.flags.writeable
     given[0] = 9.0
+    coeffs[0, 0] = 9.0
     assert np.array_equal(traj.durations, [1.0, 2.0, 0.5])
+    assert not traj.coeffs.any() and traj.eval(0.0).tolist() == [0.0, 0.0]
     assert np.array_equal(traj.knots, [0.0, 1.0, 3.0, 3.5])
     assert traj.total_duration == 3.5
     # The end time is the last cumulative knot, not np.sum's pairwise sum,
