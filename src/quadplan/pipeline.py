@@ -153,10 +153,13 @@ def plan_trajectory(
 
 
 def flat_flag_at(traj: PiecewisePolynomial, t: float) -> np.ndarray:
-    """Stacked output and derivatives up to order traj.s-1 at time t, shape
-    (m, s): column k is the k-th derivative. The flags at many times ts are
-    traj.sample(ts, traj.s).transpose(0, 2, 1), with equal values."""
-    return np.ascontiguousarray(traj.derivatives(t, traj.s).T)
+    """Stacked output and derivatives up to order traj.s-1 at time t, a
+    C-contiguous (m, s) array: column k is the k-th derivative, equal bit
+    for bit to traj.eval(t, k). This is the read of one time, one
+    derivatives call, as a controller makes each tick; the flags at many
+    times ts are traj.sample(ts, traj.s).transpose(0, 2, 1), with equal
+    values."""
+    return traj.derivatives(t, traj.s).T.copy()
 
 
 def yaw_samples(traj: PiecewisePolynomial, times) -> np.ndarray:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -67,14 +68,29 @@ def trapezoidal_time_allocation(waypoints, v_max: float, a_max: float) -> np.nda
 
 @functools.lru_cache(maxsize=None)
 def _basis_table(n: int, orders: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only factor and exponent matrices of the derivative basis:
-    C[k, j] = perm(j, k) = j! / (j-k)! (zero for j < k) and E[k, j] =
-    max(j - k, 0), for derivative orders k < orders and monomials j < n."""
-    factors = np.array([[math.perm(j, k) for j in range(n)] for k in range(orders)], dtype=float)
-    exponents = np.maximum(np.arange(n)[None, :] - np.arange(orders)[:, None], 0).astype(float)
+    """Read-only factor and exponent stacks of the derivative basis, each
+    (orders, 1, n) so that row k is a 1 x n matrix ready for a stacked
+    vector-matrix product: C[k, 0, j] = perm(j, k) = j! / (j-k)! (zero for
+    j < k) and E[k, 0, j] = max(j - k, 0), for derivative orders k < orders
+    and monomials j < n."""
+    factors = np.array([[[math.perm(j, k) for j in range(n)]] for k in range(orders)], dtype=float)
+    exponents = np.maximum(np.arange(n) - np.arange(orders)[:, None, None], 0).astype(float)
     factors.setflags(write=False)
     exponents.setflags(write=False)
     return factors, exponents
+
+
+def _is_integer(x) -> bool:
+    """Whether x is an integer; a Python int is tested first, since the
+    abstract-class test costs about half a microsecond."""
+    return type(x) is int or isinstance(x, numbers.Integral)
+
+
+def _check_orders(orders, n: int) -> None:
+    """A derivative count must be an integer in 1..n: a float one would
+    match an integer's cached basis table (3.0 == 3) but fail uncached."""
+    if not (_is_integer(orders) and 1 <= orders <= n):
+        raise ValueError(f"derivative order out of range: need an integer in 1..{n}, not {orders!r}")
 
 
 @dataclass
@@ -94,11 +110,13 @@ class BivpSpec:
     intermediate: list | None = None
 
     def __post_init__(self):
-        if self.s < 1:
-            raise ValueError("integrator order s must be >= 1")
+        if not _is_integer(self.s) or self.s < 1:
+            raise ValueError("integrator order s must be an integer >= 1")
         self.waypoints = np.atleast_2d(np.asarray(self.waypoints, dtype=float))
         self.durations = np.asarray(self.durations, dtype=float)
         M = len(self.durations)
+        if M < 1:
+            raise ValueError("need at least one segment (two waypoints)")
         if self.waypoints.shape[0] != M + 1:
             raise ValueError("need exactly M+1 waypoints for M durations")
         if not np.all(np.isfinite(self.durations) & (self.durations > 0)):
@@ -118,10 +136,16 @@ class BivpSpec:
             if b.shape != (m, self.s):
                 raise ValueError(f"{name} must have shape (m, s) = ({m}, {self.s})")
         if self.intermediate is None:
-            self.intermediate = [self.waypoints[i].reshape(m, 1) for i in range(1, M)]
+            self.intermediate = list(self.waypoints[1:-1, :, None])
         if len(self.intermediate) != M - 1:
             raise ValueError("need exactly M-1 intermediate conditions")
-        self.intermediate = [np.atleast_2d(np.asarray(g, dtype=float)) for g in self.intermediate]
+        # collision_repair passes (m, d_i) float arrays, which the conversion
+        # would return unchanged; only other entries are converted.
+        self.intermediate = [
+            g if type(g) is np.ndarray and g.ndim == 2 and g.dtype == np.float64
+            else np.atleast_2d(np.asarray(g, dtype=float))
+            for g in self.intermediate
+        ]
         for g in self.intermediate:
             if g.shape[0] != m or not 1 <= g.shape[1] <= self.s:
                 raise ValueError("intermediate condition orders must satisfy 1 <= d_i <= s")
@@ -209,7 +233,7 @@ def build_banded_system(spec: BivpSpec) -> BandedSystem:
     cols = np.concatenate([np.zeros(s, np.intp), np.repeat(first[:-1], w), np.full(s, first[-1])])
 
     factors, exponents = _basis_table(w, w)
-    basis = factors[orders] * np.float_power(times[:, None], exponents[orders])
+    basis = factors[orders, 0] * np.float_power(times[:, None], exponents[orders, 0])
     r, j = np.nonzero(basis)
     c = cols[r] + j
     sys.band[kl + ku + r - c, c] = basis[r, j]
@@ -257,7 +281,8 @@ class PiecewisePolynomial:
     coeffs and durations are read-only copies of the arrays given, so the
     knots computed here stay valid. The last knot, the durations' cumulative
     sum, is the end time: the domain is [0, knots[-1]], and segment i covers
-    [knots[i], knots[i+1]), the last segment closed.
+    [knots[i], knots[i+1]), the last segment closed. A trajectory has at
+    least one segment, and s is an integer >= 1.
     """
 
     coeffs: np.ndarray  # (M, 2s, m)
@@ -265,6 +290,8 @@ class PiecewisePolynomial:
     s: int
 
     def __post_init__(self):
+        if not _is_integer(self.s) or self.s < 1:
+            raise ValueError("integrator order s must be an integer >= 1")
         durations = _read_only_copy(self.durations, float)
         object.__setattr__(self, "coeffs", _read_only_copy(self.coeffs, float))
         object.__setattr__(self, "durations", durations)
@@ -272,6 +299,8 @@ class PiecewisePolynomial:
             raise ValueError("coefficient stack must have shape (M, 2s, m)")
         if durations.ndim != 1 or len(durations) != self.coeffs.shape[0]:
             raise ValueError("durations/segments mismatch")
+        if len(durations) < 1:
+            raise ValueError("a trajectory needs at least one segment")
         if not np.all(np.isfinite(durations) & (durations > 0)):
             raise ValueError("segment durations must be positive and finite")
         knots = np.concatenate([[0.0], np.cumsum(durations)])
@@ -297,26 +326,43 @@ class PiecewisePolynomial:
         """The end time, knots[-1]."""
         return self._knot_list[-1]
 
+    @functools.cached_property
+    def _segments(self) -> list[np.ndarray]:
+        """Read-only (2s, m) views of each segment's coefficients, built on
+        the first read of one time, so trajectories never read that way
+        (repair's intermediate rounds) do not pay for them."""
+        return list(self.coeffs)
+
     def derivatives(self, t: float, orders: int) -> np.ndarray:
-        """Derivatives 0..orders-1 of the trajectory at global time t, as an
-        (orders, m) array whose row k is eval(t, k). Needs 1 <= orders <= 2s.
-        The read of one time; sample reads many, with equal bits."""
+        """Derivatives 0..orders-1 of the trajectory at global time t, as a
+        C-contiguous (orders, m) array whose row k is eval(t, k). orders must
+        be an integer in 1..2s (else ValueError), and t a real number in
+        [0, knots[-1]] (else DomainError; a NaN is one too).
+
+        The read of one time; sample reads many, with equal bits. What does
+        not depend on t is prepared once per trajectory or table: the knots
+        as a list, the basis as a cached (orders, 1, 2s) stack and the
+        segments as a list of views. t is read as a Python float (exact for
+        an np.float64 or an int), so the segment search and the domain test
+        run on floats; what remains is one np.float_power, one multiply and
+        one stacked matmul."""
+        t = float(t)
         knots = self._knot_list
         if not 0.0 <= t <= knots[-1]:
             raise DomainError(f"t={t} outside [0, {knots[-1]}]")
         n = 2 * self.s
-        if not 1 <= orders <= n:
-            raise ValueError("derivative order out of range")
-        coeffs = self.coeffs
-        i = min(bisect.bisect_right(knots, t) - 1, len(coeffs) - 1)
+        if not (type(orders) is int and 1 <= orders <= n):  # the common case, without a call
+            _check_orders(orders, n)
+        i = bisect.bisect_right(knots, t) - 1
+        if i == len(knots) - 1:  # the end time: the last segment is closed
+            i -= 1
         factors, exponents = _basis_table(n, orders)
         # np.float_power is the C library's pow, which a scalar tau ** (j - k)
         # calls; np.power may take a SIMD pow that differs in the last bit.
-        basis = factors * np.float_power(t - knots[i], exponents)
         # A stack of vector-matrix products sums each row as one basis row
         # @ coeffs[i] does; a 2-D basis @ coeffs product may sum in another
         # order.
-        return np.matmul(basis[:, None, :], coeffs[i])[:, 0, :]
+        return np.matmul(factors * np.float_power(t - knots[i], exponents), self._segments[i])[:, 0]
 
     def sample(self, ts, orders: int) -> np.ndarray:
         """derivatives(t, orders) for each t of the 1-D array ts, stacked
@@ -331,15 +377,15 @@ class PiecewisePolynomial:
         if not ((ts >= 0.0) & (ts <= knots[-1])).all():
             raise DomainError(f"sample times outside [0, {knots[-1]}]")
         n = 2 * self.s
-        if not 1 <= orders <= n:
-            raise ValueError("derivative order out of range")
+        _check_orders(orders, n)
         seg = np.minimum(np.searchsorted(knots, ts, side="right") - 1, self.M - 1)
         factors, exponents = _basis_table(n, orders)
-        basis = factors * np.float_power((ts - knots[seg])[:, None, None], exponents)
-        return np.matmul(basis[:, :, None, :], self.coeffs[seg][:, None])[:, :, 0, :]
+        basis = factors * np.float_power((ts - knots[seg])[:, None, None, None], exponents)
+        return np.matmul(basis, self.coeffs[seg][:, None])[:, :, 0, :]
 
     def eval(self, t: float, k: int = 0) -> np.ndarray:
-        """k-th derivative of the trajectory at global time t (m-vector)."""
+        """k-th derivative of the trajectory at global time t (m-vector); k
+        must be an integer in 0..2s-1."""
         return self.derivatives(t, k + 1)[k]
 
 
@@ -372,7 +418,7 @@ def control_effort(traj: PiecewisePolynomial) -> np.float64:
     n = 2 * s
     # gamma^(s)(tau) = sum_{j>=s} c_j * perm(j, s) * tau^(j-s); the factors
     # are row s of the basis table.
-    fac = _basis_table(n, n)[0][s, s:]
+    fac = _basis_table(n, n)[0][s, 0, s:]
     a = traj.coeffs[:, s:, :] * fac[:, None]  # (M, s, m) scaled coefficients
     dots = np.matmul(a[:, :, None, None, :], a[:, None, :, :, None])[..., 0, 0]
     jk = np.add.outer(np.arange(s), np.arange(s))  # p - 1 for each (j, k)

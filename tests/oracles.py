@@ -5,6 +5,7 @@ calculus instead of closed-form sums, natural row ordering instead of the
 bandwidth-minimizing one. The tests' shared helpers live here too: random
 BIVP specs and a fresh-interpreter runner."""
 
+import bisect
 import functools
 import heapq
 import itertools
@@ -201,6 +202,22 @@ def reference_eval(traj, t, k):
         raise ValueError(f"t={t} outside [0, {knots[-1]}]")
     i = min(int(np.searchsorted(knots, t, side="right")) - 1, traj.M - 1)
     return reference_poly_basis(t - knots[i], traj.s, k) @ traj.coeffs[i]
+
+
+def reference_derivatives(traj, t, orders):
+    """PiecewisePolynomial.derivatives as it was before its per-call costs
+    were cut: t used as given, the segment by bisect_right on the knot list
+    clamped with min to the last, a 2-D basis table taken to np.float_power
+    and multiplied, then a stack of vector-matrix products with coeffs[i]."""
+    knots = np.concatenate([[0.0], np.cumsum(traj.durations)]).tolist()
+    if not 0.0 <= t <= knots[-1]:
+        raise ValueError(f"t={t} outside [0, {knots[-1]}]")
+    n = 2 * traj.s
+    i = min(bisect.bisect_right(knots, t) - 1, traj.M - 1)
+    factors = np.array([[math.perm(j, k) for j in range(n)] for k in range(orders)], dtype=float)
+    exponents = np.maximum(np.arange(n)[None, :] - np.arange(orders)[:, None], 0).astype(float)
+    basis = factors * np.float_power(t - knots[i], exponents)
+    return np.matmul(basis[:, None, :], traj.coeffs[i])[:, 0, :]
 
 
 def reference_yaw_samples(traj, times):

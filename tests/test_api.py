@@ -17,6 +17,7 @@ from quadplan.bench import run_benchmark, run_trial
 from quadplan.grid import GoalRegion
 from quadplan.pipeline import (
     PipelineConfig,
+    flat_flag_at,
     plan_front_end,
     plan_trajectory,
     prune_collinear,
@@ -91,6 +92,9 @@ _SIGNATURES = {
     collision_repair: [("traj", REQUIRED), ("spec", REQUIRED), ("grid", REQUIRED),
                        ("v_max", REQUIRED), ("a_max", REQUIRED)],
     PiecewisePolynomial.sample: [("ts", REQUIRED), ("orders", REQUIRED)],
+    PiecewisePolynomial.derivatives: [("t", REQUIRED), ("orders", REQUIRED)],
+    PiecewisePolynomial.eval: [("t", REQUIRED), ("k", 0)],
+    flat_flag_at: [("traj", REQUIRED), ("t", REQUIRED)],
 }
 
 

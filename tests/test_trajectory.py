@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import quadplan.trajectory as trajectory_module
 from quadplan.grid import ObstacleSpec, OccupancyGrid, random_cluttered_map, segment_collision_free
+from quadplan.pipeline import flat_flag_at
 from quadplan.trajectory import (
     BandedSystem,
     BivpSpec,
@@ -39,6 +40,7 @@ from oracles import (
     random_bivp_spec,
     reference_build_banded_system,
     reference_control_effort,
+    reference_derivatives,
     reference_eval,
     reference_poly_basis,
     run_fresh_python,
@@ -90,11 +92,13 @@ def test_trapezoidal_rejects_non_finite_v_max(v_max):
 
 
 def test_poly_basis():
+    """The table holds one 1 x n row per derivative order."""
     factors, exponents = _basis_table(6, 3)
-    assert np.array_equal(factors * np.float_power(0.0, exponents),
+    assert factors.shape == exponents.shape == (3, 1, 6)
+    assert np.array_equal((factors * np.float_power(0.0, exponents))[:, 0],
                           [[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0], [0, 0, 2, 0, 0, 0]])
     factors, exponents = _basis_table(6, 2)
-    assert np.array_equal((factors * np.float_power(2.0, exponents))[1], [0, 1, 4, 12, 32, 80])
+    assert np.array_equal((factors * np.float_power(2.0, exponents))[1, 0], [0, 1, 4, 12, 32, 80])
 
 
 def test_poly_basis_matches_scalar_powers():
@@ -107,7 +111,7 @@ def test_poly_basis_matches_scalar_powers():
         factors, exponents = _basis_table(2 * s, 2 * s)
         for tau in taus:
             for t in (float(tau), np.float64(tau)):
-                rows = factors * np.float_power(t, exponents)
+                rows = (factors * np.float_power(t, exponents))[:, 0]
                 for k in range(2 * s):
                     assert np.array_equal(rows[k], reference_poly_basis(t, s, k))
 
@@ -164,6 +168,80 @@ def test_bivp_spec_rejects_non_finite_conditions(where, bad):
         kwargs[where] = flag
     with pytest.raises(ValueError, match="finite"):
         BivpSpec(**kwargs)
+
+
+def test_bivp_spec_intermediates_keep_values_shapes_and_dtype():
+    """The spec converts only the intermediate conditions that are not
+    already 2-D float64 arrays, and keeps those as given; every entry comes
+    out as the per-entry np.atleast_2d(np.asarray(g, dtype=float)) made it:
+    the default (each interior waypoint as an (m, 1) column), nested lists,
+    integer and float32 arrays, 1-D rows for m = 1 and mixed d_i."""
+
+    def old_conversion(intermediate):
+        return [np.atleast_2d(np.asarray(g, dtype=float)) for g in intermediate]
+
+    wp = np.array([[0.0, 0, 0], [1, 0, 0], [2, 1, 0], [3, 1, 1]])
+    kept = np.array([[2.0, 0.5], [1.0, 0.0], [0.0, -0.5]])
+    line = np.array([[0.0], [1.0], [3.0]])
+    cases = [
+        (wp, 3, None, [wp[1].reshape(3, 1), wp[2].reshape(3, 1)]),
+        (wp, 3, [wp[1].reshape(3, 1).tolist(), kept], None),
+        (wp, 3, [np.array([[1, 0, 0], [0, 1, 0], [0, 0, 1]]), kept.astype(np.float32)], None),
+        (wp, 3, [wp[1].reshape(3, 1), np.zeros((3, 3))], None),
+        (line, 3, [[1.0, 0.5]], None),
+        (line, 3, [np.array([1.0, 0.5, 0.25])], None),
+        (line, 2, [np.array([1])], None),
+    ]
+    for waypoints, s, given, want in cases:
+        M = len(waypoints) - 1
+        spec = BivpSpec(s=s, waypoints=waypoints, durations=np.ones(M), intermediate=given)
+        want = old_conversion(given) if want is None else want
+        assert len(spec.intermediate) == len(want) == M - 1
+        for got, w in zip(spec.intermediate, want):
+            assert type(got) is np.ndarray and got.dtype == np.float64
+            assert got.shape == w.shape and got.tobytes() == w.tobytes()
+    spec = BivpSpec(s=3, waypoints=wp, durations=np.ones(3), intermediate=[kept, kept[:, :1]])
+    assert spec.intermediate[0] is kept
+
+
+def test_zero_segments_are_value_errors():
+    """A trajectory or a problem needs at least one segment (two waypoints);
+    with none, reads used to fail with a bare IndexError and a one-waypoint
+    spec with a message about intermediate conditions."""
+    with pytest.raises(ValueError, match="at least one segment"):
+        PiecewisePolynomial(np.zeros((0, 6, 3)), np.zeros(0), 3)
+    one = np.zeros((1, 3))
+    for durations in ([], trapezoidal_time_allocation(one, 2.0, 1.0)):
+        with pytest.raises(ValueError, match="at least one segment"):
+            BivpSpec.rest_to_rest(one, durations, 3)
+
+
+def test_non_integral_orders_are_value_errors():
+    """A float derivative count is a ValueError whether or not the basis
+    table of the equal integer is cached (its key 3.0 equals 3), from
+    derivatives, sample and eval alike; so is a float s in either
+    constructor. numpy integers are integers."""
+    rng = np.random.default_rng(21)
+    traj = PiecewisePolynomial(rng.normal(size=(2, 8, 3)), [1.0, 1.0], 4)
+    _basis_table.cache_clear()
+    for _ in ("uncached", "cached"):
+        for bad in (3.0, np.float64(3.0), 2.5):
+            with pytest.raises(ValueError, match="order"):
+                traj.derivatives(0.5, bad)
+            with pytest.raises(ValueError, match="order"):
+                traj.sample([0.5], bad)
+        with pytest.raises(ValueError, match="order"):
+            traj.eval(0.5, 2.0)
+        traj.derivatives(0.5, 3)  # caches the (8, 3) table
+    want = traj.derivatives(0.5, 3)
+    assert traj.derivatives(0.5, np.int64(3)).tobytes() == want.tobytes()
+    assert traj.eval(0.5, np.int64(2)).tobytes() == want[2].tobytes()
+    wp = np.array([[0.0, 0, 0], [1, 0, 0], [2, 0, 0]])
+    for s in (3.0, np.float64(3.0), 2.5):
+        with pytest.raises(ValueError, match="integer"):
+            PiecewisePolynomial(np.zeros((2, 6, 3)), [1.0, 1.0], s)
+        with pytest.raises(ValueError, match="integer"):
+            BivpSpec.rest_to_rest(wp, [1.0, 1.0], s)
 
 
 # ------------------------------------------------------------- system assembly
@@ -399,6 +477,28 @@ def test_sample_matches_derivatives(case):
         assert got.shape == (len(ts), orders, traj.m)
         want = np.array([traj.derivatives(t, orders) for t in ts.tolist()])
         assert got.tobytes() == want.tobytes(), orders
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_trajectory_and_times())
+def test_one_time_reads_match_reference_derivatives(case):
+    """derivatives, eval and flat_flag_at equal the reference body byte for
+    byte, for every order 1..2s and times given as Python floats, np.float64
+    and ints."""
+    traj, ts = case
+    s = traj.s
+    times = [*ts.tolist(), *ts, *range(int(traj.total_duration) + 1)]
+    for t in times:
+        for orders in range(1, 2 * s + 1):
+            want = reference_derivatives(traj, t, orders)
+            got = traj.derivatives(t, orders)
+            assert got.shape == (orders, traj.m) and got.flags.c_contiguous
+            assert got.tobytes() == want.tobytes(), (t, orders)
+        for k in range(2 * s):
+            assert traj.eval(t, k).tobytes() == want[k].tobytes(), (t, k)
+        flag = flat_flag_at(traj, t)
+        assert flag.shape == (traj.m, s) and flag.flags.c_contiguous
+        assert flag.tobytes() == np.ascontiguousarray(want[:s].T).tobytes(), t
 
 
 def test_sample_errors_and_empty_times():
