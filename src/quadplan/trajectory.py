@@ -80,16 +80,10 @@ def _basis_table(n: int, orders: int) -> tuple[np.ndarray, np.ndarray]:
     return factors, exponents
 
 
-def _is_integer(x) -> bool:
-    """Whether x is an integer; a Python int is tested first, since the
-    abstract-class test costs about half a microsecond."""
-    return type(x) is int or isinstance(x, numbers.Integral)
-
-
 def _check_orders(orders, n: int) -> None:
     """A derivative count must be an integer in 1..n: a float one would
     match an integer's cached basis table (3.0 == 3) but fail uncached."""
-    if not (_is_integer(orders) and 1 <= orders <= n):
+    if not (isinstance(orders, numbers.Integral) and 1 <= orders <= n):
         raise ValueError(f"derivative order out of range: need an integer in 1..{n}, not {orders!r}")
 
 
@@ -110,7 +104,7 @@ class BivpSpec:
     intermediate: list | None = None
 
     def __post_init__(self):
-        if not _is_integer(self.s) or self.s < 1:
+        if not isinstance(self.s, numbers.Integral) or self.s < 1:
             raise ValueError("integrator order s must be an integer >= 1")
         self.waypoints = np.atleast_2d(np.asarray(self.waypoints, dtype=float))
         self.durations = np.asarray(self.durations, dtype=float)
@@ -139,13 +133,7 @@ class BivpSpec:
             self.intermediate = list(self.waypoints[1:-1, :, None])
         if len(self.intermediate) != M - 1:
             raise ValueError("need exactly M-1 intermediate conditions")
-        # collision_repair passes (m, d_i) float arrays, which the conversion
-        # would return unchanged; only other entries are converted.
-        self.intermediate = [
-            g if type(g) is np.ndarray and g.ndim == 2 and g.dtype == np.float64
-            else np.atleast_2d(np.asarray(g, dtype=float))
-            for g in self.intermediate
-        ]
+        self.intermediate = [np.atleast_2d(np.asarray(g, dtype=float)) for g in self.intermediate]
         for g in self.intermediate:
             if g.shape[0] != m or not 1 <= g.shape[1] <= self.s:
                 raise ValueError("intermediate condition orders must satisfy 1 <= d_i <= s")
@@ -290,7 +278,7 @@ class PiecewisePolynomial:
     s: int
 
     def __post_init__(self):
-        if not _is_integer(self.s) or self.s < 1:
+        if not isinstance(self.s, numbers.Integral) or self.s < 1:
             raise ValueError("integrator order s must be an integer >= 1")
         durations = _read_only_copy(self.durations, float)
         object.__setattr__(self, "coeffs", _read_only_copy(self.coeffs, float))
@@ -307,6 +295,8 @@ class PiecewisePolynomial:
         knots.setflags(write=False)
         object.__setattr__(self, "_knots", knots)
         object.__setattr__(self, "_knot_list", knots.tolist())
+        # Read-only (2s, m) views of each segment's coefficients for derivatives.
+        object.__setattr__(self, "_segments", list(self.coeffs))
 
     @property
     def M(self) -> int:
@@ -325,13 +315,6 @@ class PiecewisePolynomial:
     def total_duration(self) -> float:
         """The end time, knots[-1]."""
         return self._knot_list[-1]
-
-    @functools.cached_property
-    def _segments(self) -> list[np.ndarray]:
-        """Read-only (2s, m) views of each segment's coefficients, built on
-        the first read of one time, so trajectories never read that way
-        (repair's intermediate rounds) do not pay for them."""
-        return list(self.coeffs)
 
     def derivatives(self, t: float, orders: int) -> np.ndarray:
         """Derivatives 0..orders-1 of the trajectory at global time t, as a

@@ -171,11 +171,11 @@ def test_bivp_spec_rejects_non_finite_conditions(where, bad):
 
 
 def test_bivp_spec_intermediates_keep_values_shapes_and_dtype():
-    """The spec converts only the intermediate conditions that are not
-    already 2-D float64 arrays, and keeps those as given; every entry comes
-    out as the per-entry np.atleast_2d(np.asarray(g, dtype=float)) made it:
-    the default (each interior waypoint as an (m, 1) column), nested lists,
-    integer and float32 arrays, 1-D rows for m = 1 and mixed d_i."""
+    """Every intermediate condition comes out as the per-entry
+    np.atleast_2d(np.asarray(g, dtype=float)) made it: the default (each
+    interior waypoint as an (m, 1) column), nested lists, integer and
+    float32 arrays, 1-D rows for m = 1 and mixed d_i; a 2-D float64 array,
+    as collision_repair passes, is kept without a copy."""
 
     def old_conversion(intermediate):
         return [np.atleast_2d(np.asarray(g, dtype=float)) for g in intermediate]
