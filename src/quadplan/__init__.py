@@ -44,7 +44,6 @@ from .planner import (
     plan,
     rewire_radius_bound,
     save_path,
-    shrinking_radius,
 )
 from .trajectory import (
     BandedSystem,

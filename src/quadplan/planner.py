@@ -42,14 +42,6 @@ def rewire_radius_bound(free_measure: float) -> float:
     return (2.0 * (1.0 + 1.0 / 3)) ** (1.0 / 3) * (free_measure / _UNIT_BALL_VOLUME) ** (1.0 / 3)
 
 
-def shrinking_radius(n: int, step: float, gamma_rrt: float) -> float:
-    """r(n) = min(step, gamma * (log n / n)^(1/3)); r(1) = step since
-    log 1 = 0 would collapse the radius to zero."""
-    if n < 2:
-        return step
-    return min(step, gamma_rrt * (math.log(n) / n) ** (1.0 / 3))
-
-
 def _steer(nx, ny, nz, rx, ry, rz, step: float):
     """RRT*'s steer on scalars: (x, y, z, truncated). The sample r itself,
     truncated=False, when it lies within step of the near point n, else the
@@ -437,10 +429,11 @@ def plan(
 
     Numpy does only an iteration's O(n) work: the scan, its argmin and
     extend_and_rewire's near-set mask. The rest reads and writes the tree's
-    Python lists of coordinate tuples and costs, and the shrinking radius
-    and the goal test are inlined with the float expressions of
-    shrinking_radius and GoalRegion.contains, so every value is the one
-    those give.
+    Python lists of coordinate tuples and costs. The shrinking radius
+    r(n) = min(step, gamma * (log n / n)^(1/3)), r(1) = step since log 1 = 0
+    would collapse it to zero, and the goal test are inlined, the latter
+    with GoalRegion.contains's float expression, so every value is the one
+    that gives.
 
     A sample whose steered point duplicates a vertex (within 1e-9) is
     rejected by extend_and_rewire or _extend_truncated alone, and the
@@ -516,7 +509,7 @@ def plan(
         x_new = (xx, xy, xz)
         if not segment_collision_free(grid, p_near, x_new):
             continue
-        # shrinking_radius(n, step, gamma), inline.
+        # The shrinking radius r(n), inline.
         n = tree.n
         radius = step if n < 2 else min(step, gamma * (math.log(n) / n) ** (1.0 / 3))
         if truncated:

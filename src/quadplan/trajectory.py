@@ -133,13 +133,20 @@ class BivpSpec:
             self.intermediate = list(self.waypoints[1:-1, :, None])
         if len(self.intermediate) != M - 1:
             raise ValueError("need exactly M-1 intermediate conditions")
-        self.intermediate = [np.atleast_2d(np.asarray(g, dtype=float)) for g in self.intermediate]
+        intermediate = []
         for g in self.intermediate:
+            g = np.asarray(g, dtype=float)
+            if g.ndim < 2:  # a scalar or a row, for m = 1
+                g = np.atleast_2d(g)
+            if g.ndim != 2:
+                raise ValueError(f"intermediate conditions must be (m, d_i) arrays, got shape {g.shape}")
             if g.shape[0] != m or not 1 <= g.shape[1] <= self.s:
                 raise ValueError("intermediate condition orders must satisfy 1 <= d_i <= s")
+            intermediate.append(g)
+        self.intermediate = intermediate
         # One check over every condition: collision_repair builds a spec per round.
-        conditions = [self.waypoints.T, self.boundary_start, self.boundary_end, *self.intermediate]
-        if not np.isfinite(np.hstack(conditions)).all():
+        conditions = [self.waypoints.T, self.boundary_start, self.boundary_end, *intermediate]
+        if not np.isfinite(np.concatenate(conditions, axis=1)).all():
             raise ValueError("waypoints, boundary flags and intermediate conditions must be finite")
 
     @property
@@ -162,7 +169,8 @@ class BandedSystem:
 
     band[kl + ku + i - j, j] holds A[i, j]; the first kl rows are fill space
     for the pivoted factorization. Everything outside the band is
-    structurally zero by construction.
+    structurally zero by construction. Either array may be in either memory
+    order; build_banded_system makes both column-major, LAPACK's order.
     """
 
     n: int
@@ -173,18 +181,51 @@ class BandedSystem:
 
 
 @functools.lru_cache(maxsize=None)
-def _joint_rows(s: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-joint row templates indexed by d_i = 1..s (row 0 unused): the
-    derivative order of each of the 2s rows, and whether the row is a
-    continuity row (else a waypoint condition row)."""
-    orders = np.zeros((s + 1, 2 * s), dtype=np.intp)
-    continuity = np.zeros((s + 1, 2 * s), dtype=bool)
+def _band_templates(s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only scatter templates of the band's row blocks, for order s.
+
+    The rows of block b = 0..M-1 all read segment b at tau = T_b: joint
+    b+1's 2s rows, one template per d = 1..s, or for b = M-1 the s end
+    rows, template 0. Per template entry: its index in the flat column-major
+    band when the block is block 0, its factor, and the exponent of T_b it
+    multiplies. An entry is a basis value perm(j, k) * T^(j-k) on order
+    j >= k of segment b, or a continuity row's -k! on order k of segment
+    b+1, the factor of T^0 = 1.0. Block b's rows and columns lie b * 2s
+    further on than block 0's, so its flat indices lie b * 2s * (6s+1)
+    further on. A template shorter than the longest repeats its last entry,
+    which writes the same value twice.
+
+    Also returned: each joint template's condition rows as a (s+1, 2s) mask
+    (row 0 unused), and the start rows' entries k! on the main diagonal,
+    which depend on no duration.
+    """
+    w = 2 * s
+    height = 3 * w + 1  # 2 kl + ku + 1 band rows, kl = ku = 2s
+    condition = np.zeros((s + 1, w), dtype=bool)
+
+    def template(orders, continuity):
+        entries = []
+        for row, k in enumerate(orders):
+            i = s + row  # block 0's rows follow the s start rows
+            cols = [(j, math.perm(j, k), j - k) for j in range(k, w)]
+            if continuity[row]:
+                cols.append((w + k, -math.factorial(k), 0))
+            entries += [(j * height + 2 * w + i - j, f, e) for j, f, e in cols]
+        return entries
+
+    templates = [template(range(s), [False] * s)]
     for d in range(1, s + 1):
-        orders[d] = [*range(s, 2 * s - d), *range(d), *range(s)]
-        continuity[d] = [True] * (s - d) + [False] * d + [True] * s
-    orders.setflags(write=False)
-    continuity.setflags(write=False)
-    return orders, continuity
+        condition[d, s - d : s] = True
+        templates.append(template([*range(s, w - d), *range(d), *range(s)], ~condition[d]))
+    width = max(map(len, templates))
+    table = np.array([e + e[-1:] * (width - len(e)) for e in templates])  # (s+1, width, 3)
+    pos = table[..., 0].astype(np.intp)
+    factor = np.ascontiguousarray(table[..., 1])
+    exponent = table[..., 2].astype(np.intp)
+    start = np.array([math.factorial(k) for k in range(s)], dtype=float)
+    for a in (pos, factor, exponent, condition, start):
+        a.setflags(write=False)
+    return pos, factor, exponent, condition, start
 
 
 def build_banded_system(spec: BivpSpec) -> BandedSystem:
@@ -195,56 +236,48 @@ def build_banded_system(spec: BivpSpec) -> BandedSystem:
     condition rows, then continuity rows for orders 0..s-1; finally s end
     rows. Row count is s + sum(2s per joint) + s = 2Ms exactly.
 
-    Every row is the basis row of one derivative order at one time, placed
-    from one first column: all rows come from one basis-table call, and
-    their nonzeros and the -k! continuity entries are scattered into the
-    band at once.
+    Only what depends on the durations is computed per call: the powers
+    T_b^e of the M x 2s distinct (duration, exponent) pairs, then every
+    entry that reads them in one scatter, from each block's cached template
+    (_band_templates) offset by its block index. Each value is perm(j, k) *
+    np.float_power(T, j - k), the C library's pow as a scalar T ** (j - k)
+    calls it, and the -k! entries are -k! * 1.0. The band is column-major,
+    LAPACK's own order, where block b's entries lie a fixed stride from
+    block 0's whatever M is. The start rows, k! on the diagonal, are
+    constants.
     """
     s, M, m = spec.s, spec.M, spec.m
     w = 2 * s
     n = w * M
     kl = ku = w
-    sys = BandedSystem(n, kl, ku, np.zeros((2 * kl + ku + 1, n)), np.zeros((n, m)))
+    height = 2 * kl + ku + 1
+    pos, factor, exponent, condition, start = _band_templates(s)
+    kinds = np.array([g.shape[1] for g in spec.intermediate] + [0])  # each joint's d_i, then the end rows
+    block = np.arange(M)[:, None]
+    powers = np.float_power(spec.durations[:, None], np.arange(float(w)))
+    flat = np.zeros(n * height)
+    flat[pos[kinds] + block * (w * height)] = factor[kinds] * powers[block, exponent[kinds]]
+    band = flat.reshape(n, height).T
+    band[kl + ku, :s] = start
 
-    # Per row: derivative order, evaluation time and first column. Start rows
-    # read segment 1 at tau = 0, joint i's rows segment i at tau = T_i, end
-    # rows segment M at tau = T_M.
-    tmpl_orders, tmpl_continuity = _joint_rows(s)
-    d = [g.shape[1] for g in spec.intermediate]
-    joint_orders = tmpl_orders[d]  # (M-1, 2s)
-    continuity = tmpl_continuity[d]
-    first = np.arange(M) * w
-    orders = np.concatenate([np.arange(s), joint_orders.ravel(), np.arange(s)])
-    times = np.concatenate(
-        [np.zeros(s), np.repeat(spec.durations[:-1], w), np.full(s, spec.durations[-1])]
-    )
-    cols = np.concatenate([np.zeros(s, np.intp), np.repeat(first[:-1], w), np.full(s, first[-1])])
-
-    factors, exponents = _basis_table(w, w)
-    basis = factors[orders, 0] * np.float_power(times[:, None], exponents[orders, 0])
-    r, j = np.nonzero(basis)
-    c = cols[r] + j
-    sys.band[kl + ku + r - c, c] = basis[r, j]
-
-    # Continuity rows also carry -k! on order k of the next segment.
-    joint_row = np.arange(s, n - s).reshape(M - 1, w)
-    r = joint_row[continuity]
-    k = joint_orders[continuity]
-    c = cols[r] + w + k
-    neg_factorial = -np.array([math.factorial(i) for i in range(w)], dtype=float)
-    sys.band[kl + ku + r - c, c] = neg_factorial[k]
-
-    sys.rhs[:s] = spec.boundary_start.T
+    # rhs, filled through its (m, n) transpose: the conditions are (m, d_i).
+    rhs = np.zeros((m, n))
+    rhs[:, :s] = spec.boundary_start
     if M > 1:
-        sys.rhs[joint_row[~continuity]] = np.concatenate([g.T for g in spec.intermediate])
-    sys.rhs[n - s :] = spec.boundary_end.T
-    return sys
+        joints = rhs[:, s : n - s].reshape(m, M - 1, w)
+        joints[:, condition[kinds[:-1]]] = np.concatenate(spec.intermediate, axis=1)
+    rhs[:, n - s :] = spec.boundary_end
+    return BandedSystem(n, kl, ku, band, rhs.T)
 
 
 def banded_plu_solve(sys: BandedSystem) -> np.ndarray:
     """Solve A c = b by banded PLU with partial pivoting inside the band;
     O(M) work and storage for fixed s. Raises SingularSystemError when a
-    pivot magnitude falls below 1e-12."""
+    pivot magnitude falls below 1e-12.
+
+    LAPACK factors and solves copies, so sys.band and sys.rhs are left as
+    they were. The (n, m) solution is returned as LAPACK gives it, in
+    column-major order."""
     # Imported here: scipy.linalg costs about 200 ms and 25 MB on import,
     # and a planner run that never solves should not pay for it.
     from scipy.linalg import lapack
@@ -258,7 +291,7 @@ def banded_plu_solve(sys: BandedSystem) -> np.ndarray:
     x, info = lapack.dgbtrs(lu, sys.kl, sys.ku, sys.rhs, ipiv)
     if info != 0:
         raise SingularSystemError("banded back-substitution failed")
-    return np.ascontiguousarray(x)
+    return x
 
 
 @dataclass(frozen=True)
@@ -375,9 +408,10 @@ class PiecewisePolynomial:
 def solve_bivp(spec: BivpSpec) -> PiecewisePolynomial:
     """Unique minimum-effort spline satisfying the boundary, waypoint and
     continuity conditions of the spec."""
-    sys = build_banded_system(spec)
-    c = banded_plu_solve(sys)
-    coeffs = c.reshape(spec.M, 2 * spec.s, spec.m)
+    c = banded_plu_solve(build_banded_system(spec))
+    # c is column-major, as LAPACK returns it: its (m, n) transpose is a
+    # C-order view, and PiecewisePolynomial's copy is the one copy made.
+    coeffs = c.T.reshape(spec.m, spec.M, 2 * spec.s).transpose(1, 2, 0)
     return PiecewisePolynomial(coeffs, spec.durations, spec.s)
 
 
@@ -474,6 +508,12 @@ def _colliding_segments(traj: PiecewisePolynomial, grid: OccupancyGrid, dt: floa
     voxels that crosses at most one voxel face is free. Only the chords
     between free voxels with two or more crossings call the walk. A
     non-finite sample raises ValueError.
+
+    Every sample's voxel is computed once, with the bounds tested before the
+    integer cast (a sample out of bounds reads voxel 0 and is not free), and
+    its occupancy read through one flat index. The pair of samples across a
+    knot, the last of one segment and the first of the next, is no chord: it
+    is marked free with no crossing, so it neither flags nor walks.
     """
     knots = traj.knots
     t0 = knots[:-1]
@@ -488,23 +528,25 @@ def _colliding_segments(traj: PiecewisePolynomial, grid: OccupancyGrid, dt: floa
     # reports them.
     with np.errstate(invalid="ignore", over="ignore"):
         pts = traj.sample(ts, 1)[:, 0, :]
-        u = (pts - grid._lo) * grid._inv
+        u = (pts - grid.origin) * grid._inv
     if not np.isfinite(u).all():
         raise ValueError("trajectory sample or its voxel coordinates not finite")
 
-    # Endpoint voxels, bounds tested before the integer cast.
-    inside = ((u >= 0.0) & (u < grid.dims)).all(axis=1)
-    cell = np.zeros(u.shape, dtype=np.intp)
-    cell[inside] = u[inside]  # truncation is floor for u >= 0
-    free = inside.copy()
-    free[inside] = ~grid.occupancy[tuple(cell[inside].T)]
-    # Chord j joins samples j and j + 1 of one segment.
-    chord = np.ones(len(ts) - 1, dtype=bool)
-    chord[ends[:-1] - 1] = False
+    occ = grid.occupancy
+    _, ny, nz = occ.shape
+    bounded = (u >= 0.0) & (u < occ.shape)
+    inside = bounded[:, 0] & bounded[:, 1] & bounded[:, 2]
+    cell = np.where(inside[:, None], u, 0.0).astype(np.intp)  # truncation is floor for u >= 0
+    free = inside & ~occ.reshape(-1)[cell @ (ny * nz, nz, 1)]
+    # Chord j joins samples j and j + 1.
     both_free = free[:-1] & free[1:]
-    crossings = np.abs(np.diff(cell, axis=0)).sum(axis=1)
-    out = set(owner[:-1][chord & ~both_free].tolist())
-    for j in np.flatnonzero(chord & both_free & (crossings >= 2)).tolist():
+    step = np.abs(cell[1:] - cell[:-1])
+    crossings = step[:, 0] + step[:, 1] + step[:, 2]
+    seams = ends[:-1] - 1
+    both_free[seams] = True
+    crossings[seams] = 0
+    out = set(owner[:-1][~both_free].tolist())
+    for j in np.flatnonzero(both_free & (crossings >= 2)).tolist():
         i = int(owner[j])
         if i not in out and not segment_collision_free(grid, pts[j].tolist(), pts[j + 1].tolist()):
             out.add(i)

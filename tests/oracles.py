@@ -26,7 +26,6 @@ from quadplan.planner import (
     SearchTree,
     informed_sample,
     rewire_radius_bound,
-    shrinking_radius,
 )
 from quadplan.trajectory import BandedSystem
 
@@ -435,6 +434,15 @@ def reference_extend_and_rewire(tree, x_new, grid, radius, d2):
             ):
                 tree.set_parent(v, new_idx, c_through)
     return new_idx
+
+
+def shrinking_radius(n, step, gamma_rrt):
+    """RRT*'s shrinking rewire radius r(n) = min(step, gamma * (log n /
+    n)^(1/3)); r(1) = step since log 1 = 0 would collapse the radius to
+    zero. plan inlines it; the reference planner and the tests call it."""
+    if n < 2:
+        return step
+    return min(step, gamma_rrt * (math.log(n) / n) ** (1.0 / 3))
 
 
 def reference_steer(x_near, x_rand, step):

@@ -117,7 +117,7 @@ PUBLIC_NAMES = [
     "paperlike_maps", "plan", "plan_front_end", "plan_trajectory", "prune_collinear",
     "random_cluttered_map", "rewire_radius_bound", "run_benchmark", "run_trial",
     "safety_penalty", "save_grid", "save_path", "save_region", "save_trajectory",
-    "segment_collision_free", "shrinking_radius", "solve_bivp",
+    "segment_collision_free", "solve_bivp",
     "trapezoidal_time_allocation", "write_report", "yaw_samples",
 ]
 

@@ -26,11 +26,10 @@ from quadplan.planner import (
     plan,
     rewire_radius_bound,
     save_path,
-    shrinking_radius,
 )
 from quadplan.regions import HeuristicRegion, filter_region, oracle_region
 
-from oracles import reference_extend_and_rewire, reference_plan, reference_steer
+from oracles import reference_extend_and_rewire, reference_plan, reference_steer, shrinking_radius
 
 
 def empty_grid(side=10, resolution=1.0):

@@ -170,6 +170,15 @@ def test_bivp_spec_rejects_non_finite_conditions(where, bad):
         BivpSpec(**kwargs)
 
 
+def test_bivp_spec_rejects_intermediates_of_another_dimension():
+    """An intermediate condition is an (m, d_i) array; a 3-D one is the
+    spec's own ValueError, not numpy's from a later concatenation."""
+    wp = np.array([[0.0, 0, 0], [1, 0, 0], [2, 0, 0]])
+    for bad in (np.zeros((3, 1, 2)), np.zeros((3, 1, 1, 1))):
+        with pytest.raises(ValueError, match=r"\(m, d_i\)"):
+            BivpSpec(s=3, waypoints=wp, durations=[1.0, 1.0], intermediate=[bad])
+
+
 def test_bivp_spec_intermediates_keep_values_shapes_and_dtype():
     """Every intermediate condition comes out as the per-entry
     np.atleast_2d(np.asarray(g, dtype=float)) made it: the default (each
@@ -279,11 +288,38 @@ def test_banded_assembly_matches_reference_loop():
             got = build_banded_system(spec)
             want = reference_build_banded_system(spec)
             assert (got.n, got.kl, got.ku) == (want.n, want.kl, want.ku)
-            assert np.array_equal(got.band, want.band), (s, M)
-            assert np.array_equal(got.rhs, want.rhs), (s, M)
+            # Bytes in one memory order: np.array_equal would let -0.0 pass for 0.0.
+            for a, b in ((got.band, want.band), (got.rhs, want.rhs)):
+                assert a.shape == b.shape, (s, M)
+                assert np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes(), (s, M)
     # Every order d_i = 1..s occurs at some joint.
     spec = random_bivp_spec(np.random.default_rng(13), BivpSpec, s=4, M=40)
     assert {g.shape[1] for g in spec.intermediate} == {1, 2, 3, 4}
+
+
+def test_solve_matches_reference_assembly_bytes():
+    """solve_bivp's coefficients are, byte for byte, those of the solve of
+    the row-by-row reference assembly, for every s and mixed d_i: the
+    template scatter and the copies between LAPACK and the trajectory
+    change no bit."""
+    rng = np.random.default_rng(14)
+    for s in (1, 2, 3, 4):
+        for M in (1, 2, 5, 17):
+            spec = random_bivp_spec(rng, BivpSpec, s=s, M=M)
+            want = banded_plu_solve(reference_build_banded_system(spec)).reshape(M, 2 * s, spec.m)
+            assert solve_bivp(spec).coeffs.tobytes() == want.tobytes(), (s, M)
+
+
+def test_banded_plu_solve_leaves_the_system_unchanged():
+    """The factorization and the back-substitution work on copies: the
+    band and rhs read the same after a solve, so a system can be solved
+    twice with equal bits."""
+    spec = random_bivp_spec(np.random.default_rng(15), BivpSpec, s=3, M=12)
+    sys = build_banded_system(spec)
+    band, rhs = sys.band.copy(), sys.rhs.copy()
+    first = banded_plu_solve(sys)
+    assert sys.band.tobytes() == band.tobytes() and sys.rhs.tobytes() == rhs.tobytes()
+    assert banded_plu_solve(sys).tobytes() == first.tobytes()
 
 
 def test_banded_solution_satisfies_dense_constraints():
@@ -735,6 +771,22 @@ def test_colliding_segments_rejects_non_finite_samples():
             _colliding_segments(traj, grid, 0.25)
         with pytest.raises(ValueError, match="not finite"):
             collision_repair(traj, spec, grid, v_max=2.0, a_max=1.0)
+
+
+def test_colliding_segments_far_off_samples():
+    """Samples that map to finite but huge voxel coordinates are out of
+    bounds, so their chords collide: the bounds test comes before any
+    integer cast, which would wrap (and warn, failing the tests)."""
+    grid = empty_grid()
+    for far in (1e300, -1e300, 2.0**63 + 2.5e6, 2.0**64):
+        coeffs = np.zeros((3, 2, 3))
+        coeffs[:, 0] = (2.5, 2.5, 2.5)
+        coeffs[1, 0, 1] = far  # segment 1 sits far off
+        traj = PiecewisePolynomial(coeffs, [1.0, 1.0, 1.0], 1)
+        # Segment 0's last sample lies on knot 1, in segment 1, so it is far
+        # off; segment 2 and the last sample of segment 1 are in bounds.
+        assert _colliding_segments(traj, grid, 0.25) == {0, 1}
+        assert colliding_segments_by_eval(traj, grid, 0.25) == {0, 1}
 
 
 _RESOLUTIONS = (0.3, 0.5, 1.0)
