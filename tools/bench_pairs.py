@@ -66,19 +66,22 @@ def seed_list(text: str) -> list[int]:
     return seeds
 
 
+def quartiles(values: list[float]) -> list[float]:
+    """Q1, median and Q3 as numpy's default (linear) percentiles, to 3 places."""
+    if len(values) < 2:
+        return [round(values[0], 3)] * 3
+    return [round(q, 3) for q in statistics.quantiles(values, n=4, method="inclusive")]
+
+
 def summary(pairs: list[dict], metrics: list[dict]) -> list[dict]:
+    """Per metric of BENCHMARK.json's end_to_end list: both sides' quartiles
+    and the pairs in which the change was better."""
     out = []
     for spec in metrics:
         name, lower = spec["name"], spec["better"] == "lower"
         parent = [p["parent"]["metrics"][name]["value"] for p in pairs]
         change = [p["change"]["metrics"][name]["value"] for p in pairs]
         better = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
-
-        def quartiles(v):
-            if len(v) < 2:
-                return [round(v[0], 3)] * 3
-            return [round(q, 3) for q in statistics.quantiles(v, n=4, method="inclusive")]
-
         out.append({"metric": name, "pairs": len(pairs), "parent_q1_median_q3": quartiles(parent),
                     "change_q1_median_q3": quartiles(change), "change_better_pairs": better})
     return out
@@ -110,7 +113,7 @@ def main(argv=None) -> None:
         doc = {
             "what": args.what or ("Alternating parent/change pairs of `python3 benchmarks/run.py "
                                   f"--workload W --seed S --seconds {args.seconds:g} --trace 0`, each "
-                                  "side run from a clean checkout of it"),
+                                  "side run from a clean copy of its commit's files"),
             "claim": args.claim,
             "parent_sha": shas["parent"],
             "change_sha": shas["change"],
