@@ -135,9 +135,7 @@ class BivpSpec:
             raise ValueError("need exactly M-1 intermediate conditions")
         intermediate = []
         for g in self.intermediate:
-            g = np.asarray(g, dtype=float)
-            if g.ndim < 2:  # a scalar or a row, for m = 1
-                g = np.atleast_2d(g)
+            g = np.atleast_2d(np.asarray(g, dtype=float))
             if g.ndim != 2:
                 raise ValueError(f"intermediate conditions must be (m, d_i) arrays, got shape {g.shape}")
             if g.shape[0] != m or not 1 <= g.shape[1] <= self.s:
@@ -195,21 +193,23 @@ def _band_templates(s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndar
     further on. A template shorter than the longest repeats its last entry,
     which writes the same value twice.
 
-    Also returned: each joint template's condition rows as a (s+1, 2s) mask
-    (row 0 unused), and the start rows' entries k! on the main diagonal,
-    which depend on no duration.
+    The factors and exponents are read from the derivative-basis table
+    (_basis_table), the one source of the basis. Also returned: each joint
+    template's condition rows as a (s+1, 2s) mask (row 0 unused), and the
+    start rows' entries k! on the main diagonal, which depend on no duration.
     """
     w = 2 * s
     height = 3 * w + 1  # 2 kl + ku + 1 band rows, kl = ku = 2s
+    factors, exponents = _basis_table(w, w)
     condition = np.zeros((s + 1, w), dtype=bool)
 
     def template(orders, continuity):
         entries = []
         for row, k in enumerate(orders):
             i = s + row  # block 0's rows follow the s start rows
-            cols = [(j, math.perm(j, k), j - k) for j in range(k, w)]
+            cols = [(j, factors[k, 0, j], exponents[k, 0, j]) for j in range(k, w)]
             if continuity[row]:
-                cols.append((w + k, -math.factorial(k), 0))
+                cols.append((w + k, -factors[k, 0, k], 0.0))
             entries += [(j * height + 2 * w + i - j, f, e) for j, f, e in cols]
         return entries
 
@@ -222,7 +222,7 @@ def _band_templates(s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndar
     pos = table[..., 0].astype(np.intp)
     factor = np.ascontiguousarray(table[..., 1])
     exponent = table[..., 2].astype(np.intp)
-    start = np.array([math.factorial(k) for k in range(s)], dtype=float)
+    start = factors[range(s), 0, range(s)]
     for a in (pos, factor, exponent, condition, start):
         a.setflags(write=False)
     return pos, factor, exponent, condition, start

@@ -41,7 +41,10 @@ def checkout(sha: str, into: Path) -> Path:
     """The committed files of sha, unpacked into a new directory."""
     into.mkdir()
     with tarfile.open(fileobj=io.BytesIO(git("archive", sha))) as tar:
-        tar.extractall(into, filter="data")
+        if hasattr(tarfile, "data_filter"):  # Python 3.10.12+ and 3.11.4+
+            tar.extractall(into, filter="data")
+        else:  # an archive of the repository's own commit is trusted
+            tar.extractall(into)
     return into
 
 
@@ -96,7 +99,6 @@ def main(argv=None) -> None:
     ap.add_argument("--seeds", required=True, type=seed_list, help="e.g. 61-72 or 61,64,70")
     ap.add_argument("--seconds", type=float, default=10.0)
     ap.add_argument("--why", default="", help="why this workload is measured")
-    ap.add_argument("--what", default=None, help="what the file records (default: the command)")
     ap.add_argument("--claim", default="", help="the claim the pairs test")
     args = ap.parse_args(argv)
 
@@ -111,9 +113,9 @@ def main(argv=None) -> None:
         import scipy
 
         doc = {
-            "what": args.what or ("Alternating parent/change pairs of `python3 benchmarks/run.py "
-                                  f"--workload W --seed S --seconds {args.seconds:g} --trace 0`, each "
-                                  "side run from a clean copy of its commit's files"),
+            "what": ("Alternating parent/change pairs of `python3 benchmarks/run.py --workload W "
+                     f"--seed S --seconds {args.seconds:g} --trace 0`, each side run from a clean copy "
+                     "of its commit's files (`git archive`), by `tools/bench_pairs.py`"),
             "claim": args.claim,
             "parent_sha": shas["parent"],
             "change_sha": shas["change"],
