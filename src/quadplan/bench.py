@@ -120,7 +120,7 @@ def run_trial(
     planner = PlannerConfig(step=step, goal=case.goal, max_iterations=max_iterations,
                             target_cost=target_cost, rng_seed=seed)
     try:
-        result = plan_front_end(case.grid, case.start, case.goal, planner, mode)
+        result = plan_front_end(case.grid, case.start, planner, mode)
     except NoPathError:
         return TrialRecord(case.name, mode, seed, success=False)
     rec = TrialRecord(case.name, mode, seed, success=result.stats.success)

@@ -20,7 +20,8 @@ _GRID_HEADER = struct.Struct("<8s3id3d")
 
 
 class MapFileError(Exception):
-    """Malformed header, truncated payload or wrong magic in a grid file."""
+    """Malformed header, wrong magic or a payload of another length than the
+    header's dims need, in a grid file."""
 
 
 class PlacementError(Exception):
@@ -340,11 +341,9 @@ def load_grid(path) -> OccupancyGrid:
     ncells = nx * ny * nz
     payload = raw[_GRID_HEADER.size :]
     nbytes = (ncells + 7) // 8
-    if len(payload) < nbytes:
-        raise MapFileError("truncated occupancy payload")
-    bits = np.unpackbits(
-        np.frombuffer(payload[:nbytes], dtype=np.uint8), bitorder="little"
-    )[:ncells]
+    if len(payload) != nbytes:
+        raise MapFileError(f"occupancy payload of {len(payload)} bytes, dims need {nbytes}")
+    bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8), bitorder="little")[:ncells]
     occ = bits.astype(bool).reshape((nx, ny, nz), order="F")
     try:
         return OccupancyGrid(occ, res, (ox, oy, oz))

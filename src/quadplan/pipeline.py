@@ -82,26 +82,22 @@ def prune_collinear(waypoints: np.ndarray) -> np.ndarray:
 def plan_front_end(
     grid: OccupancyGrid,
     start,
-    goal: GoalRegion,
     planner_cfg: PlannerConfig,
     mode: str = "heuristic",
     region: HeuristicRegion | None = None,
 ) -> PlanResult:
-    """Front end of the hierarchy: check that start and goal centre lie in
-    free space; in heuristic mode filter the given region, or else build the
-    oracle's, which needs no filtering (binary, obstacle-free and one
-    component around the A* path from start to goal); then run RRT* toward
-    goal.
+    """Front end of the hierarchy: check that start and the centre of
+    planner_cfg.goal lie in free space; in heuristic mode filter the given
+    region, or else build the oracle's, which needs no filtering (binary,
+    obstacle-free and one component around the A* path from start to goal);
+    then run RRT* toward the goal.
 
-    goal must equal planner_cfg.goal, which plan reads; a different one is a
-    ValueError. A region passed with a mode that does not sample one, or one
-    whose dims differ from the grid's, is a ValueError from plan.
+    A region passed with a mode that does not sample one, or one whose dims
+    differ from the grid's, is a ValueError from plan.
     """
-    if goal != planner_cfg.goal:
-        raise ValueError(f"goal {goal} differs from planner_cfg.goal {planner_cfg.goal}")
     start = np.asarray(start, dtype=float)
     start_voxel = grid.world_to_index(start)
-    goal_voxel = grid.world_to_index(goal.center)
+    goal_voxel = grid.world_to_index(planner_cfg.goal.center)
     if start_voxel is None or grid.occupancy[start_voxel]:
         raise ValueError("start does not lie in free space")
     if goal_voxel is None or grid.occupancy[goal_voxel]:
@@ -142,8 +138,10 @@ def plan_trajectory(
     collision checker and reproduces the rest-to-rest boundary flags.
 
     goal must equal cfg.planner.goal; a different one is a ValueError."""
+    if goal != cfg.planner.goal:
+        raise ValueError(f"goal {goal} differs from cfg.planner.goal {cfg.planner.goal}")
     planning_grid = inflate(grid, cfg.inflate_radius)
-    result = plan_front_end(planning_grid, start, goal, cfg.planner, mode, region)
+    result = plan_front_end(planning_grid, start, cfg.planner, mode, region)
     if result.path is None:
         raise PlanningFailure(f"no path within {cfg.planner.max_iterations} iterations")
 

@@ -40,7 +40,8 @@ class EmptyRegionError(Exception):
 
 
 class RegionFileError(Exception):
-    """Malformed header, truncated payload or invalid values in a region file."""
+    """Malformed header, a payload of another length than the header's dims
+    need, or invalid values in a region file."""
 
 
 def _voxel(v, dims, name) -> tuple[int, int, int]:
@@ -188,12 +189,6 @@ def _dilated_values(path, dims) -> np.ndarray:
     padded = np.zeros((nx + 2) * (ny + 2) * (nz + 2), dtype=np.float32)
     padded[(flat[:, None] + offsets).ravel()] = 1.0
     return padded.reshape(nx + 2, ny + 2, nz + 2)[1:-1, 1:-1, 1:-1]
-
-
-def dilate_path(path, dims) -> HeuristicRegion:
-    """Binary region: 1 iff within Chebyshev distance 1 of a path voxel. A
-    path voxel outside dims raises ValueError."""
-    return HeuristicRegion(_dilated_values(path, dims))
 
 
 def oracle_region(grid: OccupancyGrid, start, goal) -> HeuristicRegion:
@@ -353,11 +348,9 @@ def load_region(path) -> HeuristicRegion:
         raise RegionFileError("malformed header: nonpositive dims")
     ncells = nx * ny * nz
     payload = raw[_REGION_HEADER.size :]
-    if len(payload) < 4 * ncells:
-        raise RegionFileError("truncated value payload")
-    vals = np.frombuffer(payload[: 4 * ncells], dtype="<f4").reshape(
-        (nx, ny, nz), order="F"
-    )
+    if len(payload) != 4 * ncells:
+        raise RegionFileError(f"value payload of {len(payload)} bytes, dims need {4 * ncells}")
+    vals = np.frombuffer(payload, dtype="<f4").reshape((nx, ny, nz), order="F")
     try:
         return HeuristicRegion(vals)
     except ValueError as e:

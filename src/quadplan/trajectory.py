@@ -12,7 +12,7 @@ import bisect
 import functools
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -94,6 +94,7 @@ class BivpSpec:
     boundary_start/boundary_end are full flags (m x s): columns are derivative
     orders 0..s-1. intermediate[i] is an (m x d_i) partial flag at interior
     waypoint i+1 (1 <= d_i <= s); the default pins position only (d_i = 1).
+    Column 0 of a flag passed in must equal its waypoint, else ValueError.
     """
 
     s: int
@@ -116,19 +117,16 @@ class BivpSpec:
         if not np.all(np.isfinite(self.durations) & (self.durations > 0)):
             raise ValueError("segment durations must be positive and finite")
         m = self.waypoints.shape[1]
-        if self.boundary_start is None:
-            bs = np.zeros((m, self.s))
-            bs[:, 0] = self.waypoints[0]
-            self.boundary_start = bs
-        if self.boundary_end is None:
-            be = np.zeros((m, self.s))
-            be[:, 0] = self.waypoints[-1]
-            self.boundary_end = be
-        self.boundary_start = np.asarray(self.boundary_start, dtype=float)
-        self.boundary_end = np.asarray(self.boundary_end, dtype=float)
-        for name, b in (("boundary_start", self.boundary_start), ("boundary_end", self.boundary_end)):
+        passed = any(c is not None for c in (self.boundary_start, self.boundary_end, self.intermediate))
+        for name, position in (("boundary_start", self.waypoints[0]), ("boundary_end", self.waypoints[-1])):
+            b = getattr(self, name)
+            if b is None:  # at rest at its waypoint
+                b = np.zeros((m, self.s))
+                b[:, 0] = position
+            b = np.asarray(b, dtype=float)
             if b.shape != (m, self.s):
                 raise ValueError(f"{name} must have shape (m, s) = ({m}, {self.s})")
+            setattr(self, name, b)
         if self.intermediate is None:
             self.intermediate = list(self.waypoints[1:-1, :, None])
         if len(self.intermediate) != M - 1:
@@ -143,9 +141,15 @@ class BivpSpec:
             intermediate.append(g)
         self.intermediate = intermediate
         # One check over every condition: collision_repair builds a spec per round.
-        conditions = [self.waypoints.T, self.boundary_start, self.boundary_end, *intermediate]
-        if not np.isfinite(np.concatenate(conditions, axis=1)).all():
+        conditions = [self.waypoints.T, self.boundary_start, *intermediate, self.boundary_end]
+        columns = np.concatenate(conditions, axis=1)
+        if not np.isfinite(columns).all():
             raise ValueError("waypoints, boundary flags and intermediate conditions must be finite")
+        # Column 0 of flag k restates waypoint k; only a flag passed in can differ.
+        if passed:
+            firsts = np.cumsum([c.shape[1] for c in conditions[:-1]])
+            if (columns[:, firsts] != columns[:, : M + 1]).any():
+                raise ValueError("column 0 of a boundary or intermediate condition must equal its waypoint")
 
     @property
     def M(self) -> int:
@@ -298,26 +302,25 @@ def banded_plu_solve(sys: BandedSystem) -> np.ndarray:
 class PiecewisePolynomial:
     """M segments of degree 2s-1 over local time tau in [0, T_i].
 
-    coeffs[i, j, :] is the m-vector coefficient of tau^j on segment i.
-    coeffs and durations are read-only copies of the arrays given, so the
-    knots computed here stay valid. The last knot, the durations' cumulative
-    sum, is the end time: the domain is [0, knots[-1]], and segment i covers
-    [knots[i], knots[i+1]), the last segment closed. A trajectory has at
-    least one segment, and s is an integer >= 1.
+    coeffs[i, j, :] is the m-vector coefficient of tau^j on segment i; its
+    even width 2s >= 2 gives s. coeffs and durations are read-only copies of
+    the arrays given, so the knots computed here stay valid. The last knot,
+    the durations' cumulative sum, is the end time: the domain is [0,
+    knots[-1]], and segment i covers [knots[i], knots[i+1]), the last
+    segment closed. A trajectory has at least one segment.
     """
 
     coeffs: np.ndarray  # (M, 2s, m)
     durations: np.ndarray  # (M,)
-    s: int
+    s: int = field(init=False)
 
     def __post_init__(self):
-        if not isinstance(self.s, numbers.Integral) or self.s < 1:
-            raise ValueError("integrator order s must be an integer >= 1")
         durations = _read_only_copy(self.durations, float)
         object.__setattr__(self, "coeffs", _read_only_copy(self.coeffs, float))
         object.__setattr__(self, "durations", durations)
-        if self.coeffs.ndim != 3 or self.coeffs.shape[1] != 2 * self.s:
-            raise ValueError("coefficient stack must have shape (M, 2s, m)")
+        if self.coeffs.ndim != 3 or self.coeffs.shape[1] % 2 or not self.coeffs.shape[1]:
+            raise ValueError("coefficient stack must have shape (M, 2s, m) with s >= 1")
+        object.__setattr__(self, "s", self.coeffs.shape[1] // 2)
         if durations.ndim != 1 or len(durations) != self.coeffs.shape[0]:
             raise ValueError("durations/segments mismatch")
         if len(durations) < 1:
@@ -412,7 +415,7 @@ def solve_bivp(spec: BivpSpec) -> PiecewisePolynomial:
     # c is column-major, as LAPACK returns it: its (m, n) transpose is a
     # C-order view, and PiecewisePolynomial's copy is the one copy made.
     coeffs = c.T.reshape(spec.m, spec.M, 2 * spec.s).transpose(1, 2, 0)
-    return PiecewisePolynomial(coeffs, spec.durations, spec.s)
+    return PiecewisePolynomial(coeffs, spec.durations)
 
 
 def control_effort(traj: PiecewisePolynomial) -> np.float64:
@@ -453,16 +456,19 @@ def collision_repair(
     a_max: float,
 ) -> PiecewisePolynomial:
     """Iteratively insert straight-line midpoints into colliding segments and
-    re-solve until the densely sampled trajectory is collision-free.
+    re-solve until the densely sampled trajectory is collision-free. Only
+    the halves of a split segment are timed; the rest keep their durations.
 
     Sampling step resolution/(2 v_max) seconds guarantees consecutive samples
     are less than half a voxel apart; the sampled polyline is then verified
     with the exact voxel traversal's verdicts so no voxel can be skipped. Most
     chords get that verdict from their two endpoint voxels alone; only those
     between free voxels that cross two or more voxel faces run the walk (see
-    _colliding_segments). A non-finite sample raises ValueError, and
-    segments still colliding after _MAX_REPAIR_ROUNDS re-solves raise
-    RepairExhaustedError.
+    _colliding_segments). A non-finite sample raises ValueError.
+    RepairExhaustedError is raised before any re-solve when a colliding
+    segment's straight chord, waypoint to waypoint, is not free (halving
+    never frees it), and when segments still collide after
+    _MAX_REPAIR_ROUNDS re-solves.
     """
     # An infinite v_max makes the sample step 0, a NaN one makes it NaN.
     if not (v_max > 0 and math.isfinite(v_max)):
@@ -476,17 +482,22 @@ def collision_repair(
             break
         # Original joints keep their conditions; midpoints pin position only.
         waypoints = [spec.waypoints[0]]
+        durations = []
         intermediate = []
-        for i in range(spec.M):
+        for i, (a, b) in enumerate(zip(spec.waypoints[:-1], spec.waypoints[1:])):
             if i in colliding:
-                mid = 0.5 * (spec.waypoints[i] + spec.waypoints[i + 1])
+                if not segment_collision_free(grid, a.tolist(), b.tolist()):
+                    raise RepairExhaustedError(f"segment {i}'s chord collides: midpoints cannot free it")
+                mid = 0.5 * (a + b)
                 waypoints.append(mid)
                 intermediate.append(mid.reshape(-1, 1))
-            waypoints.append(spec.waypoints[i + 1])
+                durations.extend(trapezoidal_time_allocation([a, mid, b], v_max, a_max))
+            else:
+                durations.append(spec.durations[i])
+            waypoints.append(b)
             if i < spec.M - 1:
                 intermediate.append(spec.intermediate[i])
         waypoints = np.array(waypoints)
-        durations = trapezoidal_time_allocation(waypoints, v_max, a_max)
         spec = replace(spec, waypoints=waypoints, durations=durations, intermediate=intermediate)
         traj = solve_bivp(spec)
     raise RepairExhaustedError(f"segments still collide after {_MAX_REPAIR_ROUNDS} rounds")
@@ -566,8 +577,8 @@ def save_trajectory(traj: PiecewisePolynomial, path) -> None:
 
 def load_trajectory(path) -> PiecewisePolynomial:
     """Read a file written by save_trajectory. A malformed header or segment,
-    a wrong line count or a non-positive or non-finite duration raises
-    TrajectoryFileError."""
+    a wrong line count, a coefficient row of other than m values or a
+    non-positive or non-finite duration raises TrajectoryFileError."""
     with open(path) as f:
         lines = [ln.strip() for ln in f if ln.strip()]
     if not lines or not lines[0].startswith("#"):
@@ -593,11 +604,14 @@ def load_trajectory(path) -> PiecewisePolynomial:
         try:
             durations[i] = float(seg[0][2:])
             for j in range(2 * s):
-                coeffs[i, j] = [float(v) for v in seg[1 + j].split()]
+                row = seg[1 + j].split()
+                if len(row) != m:
+                    raise ValueError(f"coefficient row {j} holds {len(row)} values, not m={m}")
+                coeffs[i, j] = [float(v) for v in row]
         except ValueError as e:
             raise TrajectoryFileError(f"malformed segment {i}: {e}") from e
     try:
-        return PiecewisePolynomial(coeffs, durations, s)
+        return PiecewisePolynomial(coeffs, durations)
     except ValueError as e:
         raise TrajectoryFileError(str(e)) from e
 

@@ -379,7 +379,7 @@ def reference_astar_path(grid, start, goal, no_path_error):
 
 
 def reference_dilate_path(path, dims):
-    """regions.dilate_path as a morphological dilation of the whole grid by
+    """regions._dilated_values as a morphological dilation of the whole grid by
     a 3x3x3 cube, which must mark the identical voxels; returns the boolean
     mask."""
     path = np.asarray(path, dtype=int)

@@ -24,16 +24,17 @@ from quadplan.pipeline import (
     yaw_samples,
 )
 from quadplan.planner import PlannerConfig, SearchTree, extend_and_rewire, plan
-from quadplan.regions import astar_path, dilate_path, filter_region
-from quadplan.trajectory import PiecewisePolynomial, collision_repair
+from quadplan.regions import astar_path, filter_region
+from quadplan.trajectory import BivpSpec, PiecewisePolynomial, collision_repair
 
 REQUIRED = inspect.Parameter.empty
 
 
 def _fields(cls):
+    """The fields a caller sets: those the constructor takes."""
     return [
         (f.name, REQUIRED if f.default is dataclasses.MISSING else f.default)
-        for f in dataclasses.fields(cls)
+        for f in dataclasses.fields(cls) if f.init
     ]
 
 
@@ -68,11 +69,26 @@ def test_config_fields_are_pinned():
     assert _fields(GoalRegion) == [("center", REQUIRED), ("radius", REQUIRED)]
 
 
+def test_back_end_fields_are_pinned():
+    """A spec's waypoints own its positions (a flag's column 0 restates
+    them), and a trajectory's order s is half its coefficient width, so s
+    is no constructor argument of PiecewisePolynomial."""
+    assert _fields(BivpSpec) == [
+        ("s", REQUIRED),
+        ("waypoints", REQUIRED),
+        ("durations", REQUIRED),
+        ("boundary_start", None),
+        ("boundary_end", None),
+        ("intermediate", None),
+    ]
+    assert _fields(PiecewisePolynomial) == [("coeffs", REQUIRED), ("durations", REQUIRED)]
+
+
 _SIGNATURES = {
     plan: [("grid", REQUIRED), ("start", REQUIRED), ("cfg", REQUIRED),
            ("mode", "uniform"), ("region", None)],
-    plan_front_end: [("grid", REQUIRED), ("start", REQUIRED), ("goal", REQUIRED),
-                     ("planner_cfg", REQUIRED), ("mode", "heuristic"), ("region", None)],
+    plan_front_end: [("grid", REQUIRED), ("start", REQUIRED), ("planner_cfg", REQUIRED),
+                     ("mode", "heuristic"), ("region", None)],
     plan_trajectory: [("grid", REQUIRED), ("start", REQUIRED), ("goal", REQUIRED),
                       ("cfg", REQUIRED), ("mode", "heuristic"), ("region", None)],
     prune_collinear: [("waypoints", REQUIRED)],
@@ -83,7 +99,6 @@ _SIGNATURES = {
     extend_and_rewire: [("tree", REQUIRED), ("x_new", REQUIRED), ("grid", REQUIRED),
                         ("radius", REQUIRED), ("d2", REQUIRED)],
     astar_path: [("grid", REQUIRED), ("start", REQUIRED), ("goal", REQUIRED)],
-    dilate_path: [("path", REQUIRED), ("dims", REQUIRED)],
     run_trial: [("case", REQUIRED), ("mode", REQUIRED), ("seed", REQUIRED), ("step", 2.0),
                 ("max_iterations", 30000), ("target_cost", None)],
     run_benchmark: [("cases", REQUIRED), ("modes", REQUIRED), ("trials", REQUIRED),

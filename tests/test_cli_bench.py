@@ -147,7 +147,7 @@ def test_run_trial_solve_timings():
     # pipeline's own solve of the same waypoints.
     cfg = PlannerConfig(step=2.0, goal=case.goal, max_iterations=30000, target_cost=1e18,
                         rng_seed=1)
-    waypoints = prune_collinear(plan_front_end(case.grid, case.start, case.goal, cfg).path)
+    waypoints = prune_collinear(plan_front_end(case.grid, case.start, cfg).path)
     spec = BivpSpec.rest_to_rest(waypoints, trapezoidal_time_allocation(waypoints, 2.0, 1.0), 3)
     assert repr(rec.effort) == repr(control_effort(solve_bivp(spec)))
 

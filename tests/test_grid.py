@@ -542,6 +542,13 @@ def test_grid_load_errors(tmp_path):
     with pytest.raises(MapFileError):
         load_grid(path)
 
+    # A payload longer than the header's dims: with dims too small, a prefix
+    # of the bits used to load as a different map.
+    save_grid(grid_with([(1, 0, 0)], side=4), path)
+    path.write_bytes(path.read_bytes() + b"\x00" * 16)
+    with pytest.raises(MapFileError, match="need 8"):
+        load_grid(path)
+
     # Non-positive or non-finite geometry: a MapFileError, not a grid that
     # maps every point to one voxel or an untyped ValueError.
     for res, origin in [

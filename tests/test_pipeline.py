@@ -233,13 +233,13 @@ def test_front_end_filters_only_external_regions():
 
     oracle = oracle_region(grid, s_vox, g_vox)
     want = tree(plan(grid, start, cfg, "heuristic", oracle))
-    assert same(tree(plan_front_end(grid, start, goal, cfg)), want)
+    assert same(tree(plan_front_end(grid, start, cfg)), want)
 
     # A raw prediction: below-threshold haze everywhere, obstacles marked.
     raw = np.where(grid.occupancy, np.float32(0.9), np.float32(0.3))
     raw = HeuristicRegion(np.maximum(raw, 0.8 * oracle.values))
     want = tree(plan(grid, start, cfg, "heuristic", filter_region(raw, grid, s_vox, g_vox)))
-    got = tree(plan_front_end(grid, start, goal, cfg, region=raw))
+    got = tree(plan_front_end(grid, start, cfg, region=raw))
     assert same(got, want)
     assert not same(got, tree(plan(grid, start, cfg, "heuristic", raw)))
 
@@ -319,18 +319,17 @@ def test_yaw_samples_hold_last():
 
 
 def test_goal_other_than_the_config_goal_is_rejected():
-    """The goal argument and planner_cfg.goal name one goal. One that
-    differs used to replace the config's silently, and the run planned to
-    it; an equal goal built anew is accepted."""
+    """plan_trajectory's goal argument and cfg.planner.goal name one goal.
+    One that differs used to replace the config's silently, and the run
+    planned to it; an equal goal built anew is accepted. plan_front_end
+    takes no goal: it reads planner_cfg.goal."""
     cfg = make_config((8.5, 8.5, 8.5))
     start = np.array([1.5, 1.5, 1.5])
     other = GoalRegion(np.array([1.5, 8.5, 1.5]), 1.5)
     with pytest.raises(ValueError, match="goal"):
-        plan_front_end(empty_grid(), start, other, cfg.planner)
-    with pytest.raises(ValueError, match="goal"):
         plan_trajectory(empty_grid(), start, other, cfg)
     same = GoalRegion(np.array([8.5, 8.5, 8.5]), 1.5)
-    assert plan_front_end(empty_grid(), start, same, cfg.planner).stats.success
+    assert plan_trajectory(empty_grid(), start, same, cfg).stats.success
 
 
 @pytest.fixture(scope="module")
@@ -349,7 +348,7 @@ def test_colliding_pruned_polyline_falls_back_to_the_front_end_path(cube38_375):
     repairs and passes the benchmark's dense check."""
     wl, inp, out = cube38_375
     c = inp.case
-    front = plan_front_end(c.grid, c.start, c.goal, wl.config(inp).planner)
+    front = plan_front_end(c.grid, c.start, wl.config(inp).planner)
     pruned = prune_collinear(front.path)
     assert not all(segment_collision_free(c.grid, a, b) for a, b in zip(pruned[:-1], pruned[1:]))
     assert np.array_equal(out.path, front.path)

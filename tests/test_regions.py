@@ -15,8 +15,8 @@ from quadplan.regions import (
     RegionFileError,
     RegionSampler,
     astar_path,
+    _dilated_values,
     connectivity_penalty,
-    dilate_path,
     filter_region,
     is_connected,
     is_safe,
@@ -230,22 +230,22 @@ def test_astar_matches_reference_paths():
 
 
 def test_dilate_path_counts():
-    assert np.count_nonzero(dilate_path([(4, 4, 4)], (8, 8, 8)).values) == 27
-    assert np.count_nonzero(dilate_path([(0, 0, 0)], (8, 8, 8)).values) == 8
+    assert np.count_nonzero(_dilated_values([(4, 4, 4)], (8, 8, 8))) == 27
+    assert np.count_nonzero(_dilated_values([(0, 0, 0)], (8, 8, 8))) == 8
     # Union of six overlapping cubes along x: 8 x-slabs of 9 voxels.
     path = [(i, 4, 4) for i in range(1, 7)]
-    region = dilate_path(path, (8, 8, 8))
+    values = _dilated_values(path, (8, 8, 8))
     expect = np.zeros((8, 8, 8), dtype=bool)
     for v in path:
         expect[
             v[0] - 1 : v[0] + 2, v[1] - 1 : v[1] + 2, v[2] - 1 : v[2] + 2
         ] = True
-    assert np.count_nonzero(region.values) == 72
-    assert np.array_equal(region.mask, expect)
+    assert np.count_nonzero(values) == 72
+    assert np.array_equal(values > 0.0, expect)
     with pytest.raises(ValueError):
-        dilate_path(np.empty((0, 3), dtype=int), (8, 8, 8))
+        _dilated_values(np.empty((0, 3), dtype=int), (8, 8, 8))
     with pytest.raises(ValueError, match="L, 3"):
-        dilate_path([(1, 1), (2, 2)], (8, 8, 8))
+        _dilated_values([(1, 1), (2, 2)], (8, 8, 8))
 
 
 @pytest.mark.parametrize("voxel", [(-1, 2, 2), (2, 2, -1), (8, 2, 2), (2, 6, 2), (2, 2, 9)])
@@ -253,7 +253,7 @@ def test_dilate_path_rejects_voxels_outside_dims(voxel):
     """A negative index would wrap to the far face, and one at or past dims
     would write into the padding or past the mask: both raise ValueError."""
     with pytest.raises(ValueError, match="outside"):
-        dilate_path([(1, 1, 1), voxel], (8, 6, 9))
+        _dilated_values([(1, 1, 1), voxel], (8, 6, 9))
 
 
 def test_dilate_path_matches_reference_dilation():
@@ -271,10 +271,10 @@ def test_dilate_path_matches_reference_dilation():
             axis = int(rng.integers(3))
             path[0, axis] = rng.choice([0, dims[axis] - 1])
             path = np.vstack([path, corners[rng.integers(len(corners))]])
-            got = dilate_path(path, dims)
-            assert got.values.dtype == np.float32 and got.dims == dims
-            assert set(np.unique(got.values)) <= {0.0, 1.0}
-            assert np.array_equal(got.mask, reference_dilate_path(path, dims)), (dims, path)
+            got = _dilated_values(path, dims)
+            assert got.dtype == np.float32 and got.shape == dims
+            assert set(np.unique(got)) <= {0.0, 1.0}
+            assert np.array_equal(got > 0.0, reference_dilate_path(path, dims)), (dims, path)
 
 
 def test_oracle_region_properties():
@@ -303,8 +303,8 @@ def test_oracle_region_equals_two_step_build():
     s, g = (0, 0, 0), (11, 11, 11)
     for seed in range(10):
         grid = random_cluttered_map((12, 12, 12), 1.0, spec, seed=seed + 40, keep_free=[s, g])
-        dilated = dilate_path(astar_path(grid, s, g), grid.dims)
-        two_step = np.where(grid.occupancy, np.float32(0.0), dilated.values)
+        dilated = _dilated_values(astar_path(grid, s, g), grid.dims)
+        two_step = np.where(grid.occupancy, np.float32(0.0), dilated)
         region = oracle_region(grid, s, g)
         assert region.values.dtype == np.float32 and not region.values.flags.writeable
         assert region.values.tobytes() == two_step.tobytes()
@@ -544,6 +544,11 @@ def test_region_load_errors(tmp_path):
         load_region(path)
     path.write_bytes(struct.pack("<8s3i", b"MNRHEUR1", 2, 2, 2) + b"\x00" * 8)
     with pytest.raises(RegionFileError):
+        load_region(path)
+    # A payload longer than the header's dims, which used to load its prefix.
+    save_region(HeuristicRegion(np.full((2, 2, 2), 0.5, dtype=np.float32)), path)
+    path.write_bytes(path.read_bytes() + np.zeros(5, dtype="<f4").tobytes())
+    with pytest.raises(RegionFileError, match="need 32"):
         load_region(path)
     bad = np.full(8, 2.0, dtype="<f4")  # values outside [0, 1]
     path.write_bytes(struct.pack("<8s3i", b"MNRHEUR1", 2, 2, 2) + bad.tobytes())

@@ -170,6 +170,32 @@ def test_bivp_spec_rejects_non_finite_conditions(where, bad):
         BivpSpec(**kwargs)
 
 
+def test_bivp_spec_conditions_restate_their_waypoints():
+    """The waypoints own the positions: a boundary or intermediate flag
+    passed in whose column 0 differs from its waypoint is a ValueError. The
+    solve used to follow the flag while repair's midpoints and the
+    pipeline's path followed the waypoint. One that restates it is kept."""
+    wp = np.array([[0.0, 0, 0], [1, 0, 0], [2, 1, 0]])
+    rest = np.zeros((3, 3))
+    flags = {
+        "boundary_start": np.column_stack([wp[0], rest[:, :2]]),
+        "boundary_end": np.column_stack([wp[2], rest[:, :2]]),
+        "intermediate": [np.column_stack([wp[1], [0.5, 0.5, 0.0]])],
+    }
+    spec = BivpSpec(s=3, waypoints=wp, durations=[1.0, 1.0], **flags)
+    assert spec.intermediate[0][:, 1].tolist() == [0.5, 0.5, 0.0]
+    for name in flags:
+        for shift in (1e-12, -3.0):
+            moved = {k: [g.copy() for g in v] if k == "intermediate" else v.copy() for k, v in flags.items()}
+            first = moved[name][0] if name == "intermediate" else moved[name]
+            first[1, 0] += shift
+            with pytest.raises(ValueError, match="column 0"):
+                BivpSpec(s=3, waypoints=wp, durations=[1.0, 1.0], **moved)
+            # Passed alone, with the other flags left to their defaults.
+            with pytest.raises(ValueError, match="column 0"):
+                BivpSpec(s=3, waypoints=wp, durations=[1.0, 1.0], **{name: moved[name]})
+
+
 def test_bivp_spec_rejects_intermediates_of_another_dimension():
     """An intermediate condition is an (m, d_i) array; a 3-D one is the
     spec's own ValueError, not numpy's from a later concatenation."""
@@ -196,7 +222,7 @@ def test_bivp_spec_intermediates_keep_values_shapes_and_dtype():
         (wp, 3, None, [wp[1].reshape(3, 1), wp[2].reshape(3, 1)]),
         (wp, 3, [wp[1].reshape(3, 1).tolist(), kept], None),
         (wp, 3, [np.array([[1, 0, 0], [0, 1, 0], [0, 0, 1]]), kept.astype(np.float32)], None),
-        (wp, 3, [wp[1].reshape(3, 1), np.zeros((3, 3))], None),
+        (wp, 3, [wp[1].reshape(3, 1), np.column_stack([wp[2], np.zeros((3, 2))])], None),
         (line, 3, [[1.0, 0.5]], None),
         (line, 3, [np.array([1.0, 0.5, 0.25])], None),
         (line, 2, [np.array([1])], None),
@@ -209,8 +235,9 @@ def test_bivp_spec_intermediates_keep_values_shapes_and_dtype():
         for got, w in zip(spec.intermediate, want):
             assert type(got) is np.ndarray and got.dtype == np.float64
             assert got.shape == w.shape and got.tobytes() == w.tobytes()
-    spec = BivpSpec(s=3, waypoints=wp, durations=np.ones(3), intermediate=[kept, kept[:, :1]])
-    assert spec.intermediate[0] is kept
+    first = np.column_stack([wp[1], kept[:, 1]])
+    spec = BivpSpec(s=3, waypoints=wp, durations=np.ones(3), intermediate=[first, kept[:, :1]])
+    assert spec.intermediate[0] is first
 
 
 def test_zero_segments_are_value_errors():
@@ -218,7 +245,7 @@ def test_zero_segments_are_value_errors():
     with none, reads used to fail with a bare IndexError and a one-waypoint
     spec with a message about intermediate conditions."""
     with pytest.raises(ValueError, match="at least one segment"):
-        PiecewisePolynomial(np.zeros((0, 6, 3)), np.zeros(0), 3)
+        PiecewisePolynomial(np.zeros((0, 6, 3)), np.zeros(0))
     one = np.zeros((1, 3))
     for durations in ([], trapezoidal_time_allocation(one, 2.0, 1.0)):
         with pytest.raises(ValueError, match="at least one segment"):
@@ -228,10 +255,11 @@ def test_zero_segments_are_value_errors():
 def test_non_integral_orders_are_value_errors():
     """A float derivative count is a ValueError whether or not the basis
     table of the equal integer is cached (its key 3.0 equals 3), from
-    derivatives, sample and eval alike; so is a float s in either
-    constructor. numpy integers are integers."""
+    derivatives, sample and eval alike; so is a float s in BivpSpec.
+    numpy integers are integers. A trajectory's s is half its coefficient
+    width, so a width that is odd or zero is a ValueError."""
     rng = np.random.default_rng(21)
-    traj = PiecewisePolynomial(rng.normal(size=(2, 8, 3)), [1.0, 1.0], 4)
+    traj = PiecewisePolynomial(rng.normal(size=(2, 8, 3)), [1.0, 1.0])
     _basis_table.cache_clear()
     for _ in ("uncached", "cached"):
         for bad in (3.0, np.float64(3.0), 2.5):
@@ -248,9 +276,11 @@ def test_non_integral_orders_are_value_errors():
     wp = np.array([[0.0, 0, 0], [1, 0, 0], [2, 0, 0]])
     for s in (3.0, np.float64(3.0), 2.5):
         with pytest.raises(ValueError, match="integer"):
-            PiecewisePolynomial(np.zeros((2, 6, 3)), [1.0, 1.0], s)
-        with pytest.raises(ValueError, match="integer"):
             BivpSpec.rest_to_rest(wp, [1.0, 1.0], s)
+    for width in (0, 1, 5):
+        with pytest.raises(ValueError, match="2s"):
+            PiecewisePolynomial(np.zeros((2, width, 3)), [1.0, 1.0])
+    assert [PiecewisePolynomial(np.zeros((2, 2 * s, 3)), [1.0, 1.0]).s for s in (1, 4)] == [1, 4]
 
 
 # ------------------------------------------------------------- system assembly
@@ -410,7 +440,7 @@ def test_segment_lookup_conventions():
     coeffs = np.zeros((2, 6, 1))
     coeffs[:, 0, 0] = [10.0, 20.0]  # the segment's index, as an offset
     coeffs[:, 1, 0] = 1.0  # plus its local time
-    traj = PiecewisePolynomial(coeffs, np.array([1.0, 2.0]), 3)
+    traj = PiecewisePolynomial(coeffs, np.array([1.0, 2.0]))
     assert traj.eval(0.0)[0] == 10.0
     assert traj.eval(0.5)[0] == 10.5
     assert traj.eval(1.0)[0] == 20.0  # right-open intervals
@@ -427,7 +457,7 @@ def test_durations_and_knots_are_read_only():
     copied and left as they were."""
     given = np.array([1.0, 2.0, 0.5])
     coeffs = np.zeros((3, 6, 2))
-    traj = PiecewisePolynomial(coeffs, given, 3)
+    traj = PiecewisePolynomial(coeffs, given)
     for arr in (traj.durations, traj.knots, traj.coeffs):
         with pytest.raises(ValueError):
             arr[0] = 7.0
@@ -441,7 +471,7 @@ def test_durations_and_knots_are_read_only():
     # The end time is the last cumulative knot, not np.sum's pairwise sum,
     # which over many segments differs from it in the last bits.
     many = np.random.default_rng(0).uniform(0.1, 3.0, 200)
-    traj = PiecewisePolynomial(np.zeros((200, 6, 1)), many, 3)
+    traj = PiecewisePolynomial(np.zeros((200, 6, 1)), many)
     assert traj.total_duration == traj.knots[-1] != float(np.sum(many))
 
 
@@ -452,7 +482,7 @@ def test_end_time_is_the_last_knot():
     rng = np.random.default_rng(16)
     for _ in range(200):
         M = int(rng.integers(1, 60))
-        traj = PiecewisePolynomial(rng.normal(size=(M, 6, 3)), rng.uniform(0.1, 3.0, M), 3)
+        traj = PiecewisePolynomial(rng.normal(size=(M, 6, 3)), rng.uniform(0.1, 3.0, M))
         end = traj.knots[-1]
         assert traj.total_duration == end
         assert np.array_equal(traj.eval(end), reference_eval(traj, end, 0))
@@ -494,7 +524,7 @@ def _trajectory_and_times(draw):
     M = draw(st.integers(1, 6))
     durations = draw(st.lists(st.floats(0.05, 3.0), min_size=M, max_size=M))
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
-    traj = PiecewisePolynomial(rng.normal(size=(M, 2 * s, m)) * 3.0, durations, s)
+    traj = PiecewisePolynomial(rng.normal(size=(M, 2 * s, m)) * 3.0, durations)
     knots = traj.knots.tolist()
     near = [math.nextafter(k, d) for k in knots[1:-1] for d in (0.0, math.inf)]
     between = draw(st.lists(st.floats(0.0, knots[-1]), max_size=12))
@@ -578,7 +608,7 @@ def test_import_leaves_scipy_linalg_unloaded():
 def test_piecewise_polynomial_rejects_bad_durations():
     for bad in (0.0, -1.0, np.nan):
         with pytest.raises(ValueError):
-            PiecewisePolynomial(np.zeros((2, 6, 3)), [1.0, bad], 3)
+            PiecewisePolynomial(np.zeros((2, 6, 3)), [1.0, bad])
 
 
 def test_eval_matches_finite_differences():
@@ -735,7 +765,7 @@ def test_colliding_segments_match_per_sample_eval():
     coeffs = np.zeros((2, 6, 3))
     coeffs[0, 0] = (2.5, 5.5, 5.5)
     coeffs[1, 0] = (7.5, 5.5, 5.5)
-    jump = PiecewisePolynomial(coeffs, [1.0, 1.0], 3)
+    jump = PiecewisePolynomial(coeffs, [1.0, 1.0])
     walled = OccupancyGrid(wall, 1.0)
     assert _colliding_segments(jump, walled, 0.25) == {0}
 
@@ -766,7 +796,7 @@ def test_colliding_segments_rejects_non_finite_samples():
     for bad in (math.nan, math.inf, -math.inf, 1e308):
         coeffs = base.coeffs.copy()
         coeffs[1, 5, 0] = bad  # tau^5 on segment 1: 0 * bad at its first sample
-        traj = PiecewisePolynomial(coeffs, base.durations, base.s)
+        traj = PiecewisePolynomial(coeffs, base.durations)
         with pytest.raises(ValueError, match="not finite"):
             _colliding_segments(traj, grid, 0.25)
         with pytest.raises(ValueError, match="not finite"):
@@ -782,7 +812,7 @@ def test_colliding_segments_far_off_samples():
         coeffs = np.zeros((3, 2, 3))
         coeffs[:, 0] = (2.5, 2.5, 2.5)
         coeffs[1, 0, 1] = far  # segment 1 sits far off
-        traj = PiecewisePolynomial(coeffs, [1.0, 1.0, 1.0], 1)
+        traj = PiecewisePolynomial(coeffs, [1.0, 1.0, 1.0])
         # Segment 0's last sample lies on knot 1, in segment 1, so it is far
         # off; segment 2 and the last sample of segment 1 are in bounds.
         assert _colliding_segments(traj, grid, 0.25) == {0, 1}
@@ -837,8 +867,44 @@ def test_colliding_segments_chord_verdicts_match_walk(case):
     the endpoint voxels (or the walk) is segment_collision_free's."""
     grid, vertices = case
     coeffs = np.stack([vertices[:-1], vertices[1:] - vertices[:-1]], axis=1)
-    traj = PiecewisePolynomial(coeffs, np.ones(len(vertices) - 1), 1)
+    traj = PiecewisePolynomial(coeffs, np.ones(len(vertices) - 1))
     assert _colliding_segments(traj, grid, 1.0) == colliding_segments_by_eval(traj, grid, 1.0)
+
+
+def test_repair_keeps_the_durations_of_segments_it_does_not_split():
+    """Repair times only the halves of a split segment: a spec timed at 1.5
+    times its trapezoidal durations keeps them on every segment not split.
+    One split used to re-time every segment, so the first, which never
+    collides, came back at its trapezoidal 3.4641 s instead of 5.1962 s."""
+    grid, _ = corner_cut_instance()
+    wp = np.array([[8.5, 1.5, 2.0], [8.5, 1.5, 5.0], [1.5, 1.5, 5.0], [1.5, 8.0, 5.0]])
+    spec = BivpSpec.rest_to_rest(wp, 1.5 * trapezoidal_time_allocation(wp, 2.0, 1.0), 3)
+    repaired = collision_repair(solve_bivp(spec), spec, grid, v_max=2.0, a_max=1.0)
+    assert repaired.M == 5  # segments 1 and 2 split once
+    assert repaired.durations[0] == spec.durations[0]
+    halves = [trapezoidal_time_allocation([a, 0.5 * (a + b), b], 2.0, 1.0) for a, b in zip(wp[1:], wp[2:])]
+    assert repaired.durations[1:].tolist() == np.concatenate(halves).tolist()
+
+
+def test_repair_rejects_a_colliding_chord_before_any_solve(monkeypatch):
+    """Midpoints lie on a segment's chord, so halving never frees a chord
+    that collides: repair raises RepairExhaustedError at once. It used to
+    double the colliding segments every round, from 5 to 599,216 in ten
+    re-solves, until memory ran out."""
+    occ = np.zeros((12, 12, 3), dtype=bool)
+    occ[4:8, 6:12, :] = True
+    grid = OccupancyGrid(occ, 1.0)
+    wp = np.array([[1.5, 1.5, 1.5], [5.5, 1.5, 1.5], [9.5, 1.5, 1.5], [9.5, 5.5, 1.5],
+                   [9.5, 10.5, 1.5], [2.5, 10.5, 1.5]])
+    spec = BivpSpec.rest_to_rest(wp, trapezoidal_time_allocation(wp, 2.0, 1.0), 3)
+    traj = solve_bivp(spec)
+
+    def no_solve(spec):
+        raise AssertionError("repair re-solved a spec whose chord collides")
+
+    monkeypatch.setattr(trajectory_module, "solve_bivp", no_solve)
+    with pytest.raises(RepairExhaustedError, match="chord"):
+        collision_repair(traj, spec, grid, v_max=2.0, a_max=1.0)
 
 
 def test_repair_exhausted(monkeypatch):
@@ -883,6 +949,8 @@ def test_trajectory_load_errors(tmp_path):
         "non-integer header": ["# s=3 m=3 M=two"] + good[1:],
         "no segments": ["# s=3 m=3 M=0"],
         "short coefficient row": good[:3] + ["1.0 2.0"] + good[4:],
+        "long coefficient row": good[:3] + ["1.0 2.0 3.0 4.0"] + good[4:],
+        "one-value row, m = 3": ["# s=1 m=3 M=1", "T=1.0", "0 0 0", "2.5"],
         "non-numeric coefficient": good[:3] + ["1.0 x 2.0"] + good[4:],
         "zero duration": good[:1] + ["T=0"] + good[2:],
         "negative duration": good[:1] + ["T=-1.5"] + good[2:],
@@ -911,8 +979,8 @@ def test_export_csv(tmp_path):
     assert last[4:] == pytest.approx([0.0] * 6, abs=1e-9)
 
     # Bad input fails before the file is opened: no header-only CSV is left.
-    mono = PiecewisePolynomial(np.zeros((1, 6, 1)), [1.0], 3)
-    linear = PiecewisePolynomial(np.ones((2, 2, 3)), [1.0, 1.5], 1)  # no acceleration
+    mono = PiecewisePolynomial(np.zeros((1, 6, 1)), [1.0])
+    linear = PiecewisePolynomial(np.ones((2, 2, 3)), [1.0, 1.5])  # no acceleration
     bad_path = tmp_path / "bad.csv"
     for bad, dt in ((mono, 0.1), (linear, 0.1), (traj, 0.0), (traj, -0.1),
                     (traj, math.nan), (traj, math.inf)):
