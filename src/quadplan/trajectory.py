@@ -117,7 +117,6 @@ class BivpSpec:
         if not np.all(np.isfinite(self.durations) & (self.durations > 0)):
             raise ValueError("segment durations must be positive and finite")
         m = self.waypoints.shape[1]
-        passed = any(c is not None for c in (self.boundary_start, self.boundary_end, self.intermediate))
         for name, position in (("boundary_start", self.waypoints[0]), ("boundary_end", self.waypoints[-1])):
             b = getattr(self, name)
             if b is None:  # at rest at its waypoint
@@ -145,11 +144,10 @@ class BivpSpec:
         columns = np.concatenate(conditions, axis=1)
         if not np.isfinite(columns).all():
             raise ValueError("waypoints, boundary flags and intermediate conditions must be finite")
-        # Column 0 of flag k restates waypoint k; only a flag passed in can differ.
-        if passed:
-            firsts = np.cumsum([c.shape[1] for c in conditions[:-1]])
-            if (columns[:, firsts] != columns[:, : M + 1]).any():
-                raise ValueError("column 0 of a boundary or intermediate condition must equal its waypoint")
+        # Column 0 of flag k restates waypoint k.
+        firsts = np.cumsum([c.shape[1] for c in conditions[:-1]])
+        if (columns[:, firsts] != columns[:, : M + 1]).any():
+            raise ValueError("column 0 of a boundary or intermediate condition must equal its waypoint")
 
     @property
     def M(self) -> int:
@@ -467,8 +465,10 @@ def collision_repair(
     _colliding_segments). A non-finite sample raises ValueError.
     RepairExhaustedError is raised before any re-solve when a colliding
     segment's straight chord, waypoint to waypoint, is not free (halving
-    never frees it), and when segments still collide after
-    _MAX_REPAIR_ROUNDS re-solves.
+    never frees the chord), and when segments still collide after
+    _MAX_REPAIR_ROUNDS re-solves. The chord test is conservative: repair
+    judges the sampled curve, which after more splits might pass around a
+    voxel its chord clips, but such a segment is rejected at once.
     """
     # An infinite v_max makes the sample step 0, a NaN one makes it NaN.
     if not (v_max > 0 and math.isfinite(v_max)):
