@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
@@ -62,12 +63,14 @@ _AGG_FIELDS = CSV_COLUMNS[4:]
 @dataclass
 class AggregateReport:
     """Mean/median per numeric field over successful trials, per (map, mode);
-    success rate reported separately over all trials."""
+    success rate reported separately over all trials. summary is computed
+    from records, never passed in."""
 
     records: list
-    summary: dict = field(default_factory=dict)
+    summary: dict = field(init=False)
 
     def __post_init__(self):
+        self.summary = {}
         groups: dict[tuple[str, str], list[TrialRecord]] = {}
         for r in self.records:
             groups.setdefault((r.map, r.mode), []).append(r)
@@ -163,8 +166,9 @@ def run_benchmark(
     report has a fixed column order; aggregates are deterministic for fixed
     seeds (wall-clock columns aside).
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    for name, value in (("trials", trials), ("workers", workers)):
+        if not isinstance(value, numbers.Integral) or value < 1:
+            raise ValueError(f"{name} must be an integer >= 1, not {value!r}")
     jobs = [(case, mode, seed_base + t) for case in cases for mode in modes for t in range(trials)]
     trial = partial(run_trial, **trial_kwargs)
     if workers > 1:

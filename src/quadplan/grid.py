@@ -7,6 +7,7 @@ inflation, seeded random map generation and binary persistence.
 from __future__ import annotations
 
 import math
+import numbers
 import struct
 from dataclasses import dataclass
 
@@ -19,7 +20,7 @@ GRID_MAGIC = b"MNRGRID1"
 _GRID_HEADER = struct.Struct("<8s3id3d")
 
 
-class MapFileError(Exception):
+class MapFileError(ValueError):
     """Malformed header, wrong magic or a payload of another length than the
     header's dims need, in a grid file."""
 
@@ -257,7 +258,12 @@ def inflate(grid: OccupancyGrid, radius_voxels: int) -> OccupancyGrid:
 
 @dataclass(frozen=True)
 class ObstacleSpec:
-    """Cuboid obstacle population for random map generation (voxel units)."""
+    """Cuboid obstacle population for random map generation (voxel units).
+
+    count, size_min and size_max are kept as tuples of ints, so no later
+    write by the caller reaches a checked value; an integral count n is the
+    range (n, n).
+    """
 
     count: tuple[int, int]
     size_min: tuple[int, int, int]
@@ -265,14 +271,15 @@ class ObstacleSpec:
     max_retries: int = 100
 
     def __post_init__(self):
-        if isinstance(self.count, int):
-            object.__setattr__(self, "count", (self.count, self.count))
+        count = (self.count, self.count) if isinstance(self.count, numbers.Integral) else self.count
+        for name, value, n in (("count", count, 2), ("size_min", self.size_min, 3), ("size_max", self.size_max, 3)):
+            if np.ndim(value) != 1 or len(value) != n or not all(isinstance(c, numbers.Integral) for c in value):
+                raise ValueError(f"{name} must hold {n} integers, got {value!r}")
+            object.__setattr__(self, name, tuple(map(int, value)))
         lo, hi = self.count
         if not (0 <= lo <= hi):
             raise ValueError("bad obstacle count range")
-        smin = np.asarray(self.size_min, dtype=int)
-        smax = np.asarray(self.size_max, dtype=int)
-        if np.any(smin < 1) or np.any(smax < smin):
+        if min(self.size_min) < 1 or any(a < b for a, b in zip(self.size_max, self.size_min)):
             raise ValueError("bad cuboid size range")
 
 

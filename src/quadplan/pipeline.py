@@ -30,7 +30,7 @@ class PlanningFailure(Exception):
     """Front end exhausted its iteration budget without reaching the goal."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class PipelineConfig:
     planner: PlannerConfig
     s: int = 3

@@ -223,7 +223,7 @@ class SearchTree:
         return self._xyz[:, idx[::-1]].T.copy()
 
 
-@dataclass
+@dataclass(frozen=True)
 class PlannerConfig:
     step: float
     goal: GoalRegion

@@ -39,7 +39,7 @@ class EmptyRegionError(Exception):
     """Region has no support (empty after filtering, or all-zero sampling mass)."""
 
 
-class RegionFileError(Exception):
+class RegionFileError(ValueError):
     """Malformed header, a payload of another length than the header's dims
     need, or invalid values in a region file."""
 

@@ -87,7 +87,7 @@ def _check_orders(orders, n: int) -> None:
         raise ValueError(f"derivative order out of range: need an integer in 1..{n}, not {orders!r}")
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class BivpSpec:
     """Boundary-intermediate value problem for an M-segment polynomial spline.
 
@@ -95,6 +95,11 @@ class BivpSpec:
     orders 0..s-1. intermediate[i] is an (m x d_i) partial flag at interior
     waypoint i+1 (1 <= d_i <= s); the default pins position only (d_i = 1).
     Column 0 of a flag passed in must equal its waypoint, else ValueError.
+
+    Every array is a read-only copy of the one given, so no later write by
+    the caller reaches a checked value, and dataclasses.replace is the one
+    way to change a spec. intermediate is a tuple; its default entries are
+    (m, 1) views of the spec's own waypoints.
     """
 
     s: int
@@ -102,45 +107,46 @@ class BivpSpec:
     durations: np.ndarray
     boundary_start: np.ndarray | None = None
     boundary_end: np.ndarray | None = None
-    intermediate: list | None = None
+    intermediate: tuple | None = None
 
     def __post_init__(self):
         if not isinstance(self.s, numbers.Integral) or self.s < 1:
             raise ValueError("integrator order s must be an integer >= 1")
-        self.waypoints = np.atleast_2d(np.asarray(self.waypoints, dtype=float))
-        self.durations = np.asarray(self.durations, dtype=float)
-        M = len(self.durations)
+        waypoints = np.atleast_2d(_read_only_copy(self.waypoints, float))
+        durations = _read_only_copy(self.durations, float)
+        M = len(durations)
         if M < 1:
             raise ValueError("need at least one segment (two waypoints)")
-        if self.waypoints.shape[0] != M + 1:
+        if waypoints.shape[0] != M + 1:
             raise ValueError("need exactly M+1 waypoints for M durations")
-        if not np.all(np.isfinite(self.durations) & (self.durations > 0)):
+        if not np.all(np.isfinite(durations) & (durations > 0)):
             raise ValueError("segment durations must be positive and finite")
-        m = self.waypoints.shape[1]
-        for name, position in (("boundary_start", self.waypoints[0]), ("boundary_end", self.waypoints[-1])):
+        object.__setattr__(self, "waypoints", waypoints)
+        object.__setattr__(self, "durations", durations)
+        m = waypoints.shape[1]
+        for name, position in (("boundary_start", waypoints[0]), ("boundary_end", waypoints[-1])):
             b = getattr(self, name)
             if b is None:  # at rest at its waypoint
                 b = np.zeros((m, self.s))
                 b[:, 0] = position
-            b = np.asarray(b, dtype=float)
+            b = _read_only_copy(b, float)
             if b.shape != (m, self.s):
                 raise ValueError(f"{name} must have shape (m, s) = ({m}, {self.s})")
-            setattr(self, name, b)
-        if self.intermediate is None:
-            self.intermediate = list(self.waypoints[1:-1, :, None])
-        if len(self.intermediate) != M - 1:
-            raise ValueError("need exactly M-1 intermediate conditions")
-        intermediate = []
-        for g in self.intermediate:
-            g = np.atleast_2d(np.asarray(g, dtype=float))
-            if g.ndim != 2:
-                raise ValueError(f"intermediate conditions must be (m, d_i) arrays, got shape {g.shape}")
-            if g.shape[0] != m or not 1 <= g.shape[1] <= self.s:
-                raise ValueError("intermediate condition orders must satisfy 1 <= d_i <= s")
-            intermediate.append(g)
-        self.intermediate = intermediate
+            object.__setattr__(self, name, b)
+        if self.intermediate is None:  # position only: (m, 1) by construction
+            intermediate = tuple(waypoints[1:-1, :, None])
+        else:
+            if len(self.intermediate) != M - 1:
+                raise ValueError("need exactly M-1 intermediate conditions")
+            intermediate = tuple(np.atleast_2d(_read_only_copy(g, float)) for g in self.intermediate)
+            for g in intermediate:
+                if g.ndim != 2:
+                    raise ValueError(f"intermediate conditions must be (m, d_i) arrays, got shape {g.shape}")
+                if g.shape[0] != m or not 1 <= g.shape[1] <= self.s:
+                    raise ValueError("intermediate condition orders must satisfy 1 <= d_i <= s")
+        object.__setattr__(self, "intermediate", intermediate)
         # One check over every condition: collision_repair builds a spec per round.
-        conditions = [self.waypoints.T, self.boundary_start, *intermediate, self.boundary_end]
+        conditions = [waypoints.T, self.boundary_start, *intermediate, self.boundary_end]
         columns = np.concatenate(conditions, axis=1)
         if not np.isfinite(columns).all():
             raise ValueError("waypoints, boundary flags and intermediate conditions must be finite")
@@ -497,7 +503,6 @@ def collision_repair(
             waypoints.append(b)
             if i < spec.M - 1:
                 intermediate.append(spec.intermediate[i])
-        waypoints = np.array(waypoints)
         spec = replace(spec, waypoints=waypoints, durations=durations, intermediate=intermediate)
         traj = solve_bivp(spec)
     raise RepairExhaustedError(f"segments still collide after {_MAX_REPAIR_ROUNDS} rounds")

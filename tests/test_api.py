@@ -10,11 +10,12 @@ import dataclasses
 import inspect
 import types
 
+import numpy as np
 import pytest
 
 import quadplan
-from quadplan.bench import run_benchmark, run_trial
-from quadplan.grid import GoalRegion
+from quadplan.bench import AggregateReport, run_benchmark, run_trial
+from quadplan.grid import GoalRegion, MapFileError, ObstacleSpec, OccupancyGrid, load_grid
 from quadplan.pipeline import (
     PipelineConfig,
     flat_flag_at,
@@ -24,8 +25,14 @@ from quadplan.pipeline import (
     yaw_samples,
 )
 from quadplan.planner import PlannerConfig, SearchTree, extend_and_rewire, plan
-from quadplan.regions import astar_path, filter_region
-from quadplan.trajectory import BivpSpec, PiecewisePolynomial, collision_repair
+from quadplan.regions import HeuristicRegion, RegionFileError, astar_path, filter_region, load_region
+from quadplan.trajectory import (
+    BivpSpec,
+    PiecewisePolynomial,
+    TrajectoryFileError,
+    collision_repair,
+    load_trajectory,
+)
 
 REQUIRED = inspect.Parameter.empty
 
@@ -67,6 +74,7 @@ def test_config_fields_are_pinned():
         ("inflate_radius", 0),
     ]
     assert _fields(GoalRegion) == [("center", REQUIRED), ("radius", REQUIRED)]
+    assert _fields(AggregateReport) == [("records", REQUIRED)]
 
 
 def test_back_end_fields_are_pinned():
@@ -82,6 +90,63 @@ def test_back_end_fields_are_pinned():
         ("intermediate", None),
     ]
     assert _fields(PiecewisePolynomial) == [("coeffs", REQUIRED), ("durations", REQUIRED)]
+
+
+def _checked_inputs():
+    """Each checked input's class and constructor arguments, the arrays and
+    lists among them still held by the caller."""
+    goal = GoalRegion(np.array([1.0, 2.0, 3.0]), 1.0)
+    planner = PlannerConfig(step=1.0, goal=goal, max_iterations=10)
+    wp = np.array([[0.0, 0, 0], [1, 0, 0], [2, 1, 0]])
+    return [
+        (GoalRegion, {"center": np.array([1.0, 2.0, 3.0]), "radius": 1.0}),
+        (OccupancyGrid, {"occupancy": np.zeros((2, 2, 2), dtype=bool), "resolution": 1.0,
+                         "origin": np.zeros(3)}),
+        (HeuristicRegion, {"values": np.ones((2, 2, 2), dtype=np.float32)}),
+        (ObstacleSpec, {"count": [1, 2], "size_min": [1, 1, 1], "size_max": [2, 2, 2]}),
+        (BivpSpec, {"s": 3, "waypoints": wp, "durations": np.ones(2),
+                    "boundary_start": np.column_stack([wp[0], np.zeros((3, 2))]),
+                    "boundary_end": np.column_stack([wp[2], np.zeros((3, 2))]),
+                    "intermediate": [np.column_stack([wp[1], np.ones(3)])]}),
+        (PiecewisePolynomial, {"coeffs": np.zeros((2, 6, 3)), "durations": np.ones(2)}),
+        (PlannerConfig, {"step": 1.0, "goal": goal, "max_iterations": 10}),
+        (PipelineConfig, {"planner": planner}),
+    ]
+
+
+def test_checked_inputs_are_frozen():
+    """A checked input keeps what its check saw: the class is frozen, every
+    field assignment is an error (dataclasses.replace is the way to change
+    one), and an array or list given is kept as a read-only array or a
+    tuple that is not the caller's object."""
+    for cls, kwargs in _checked_inputs():
+        obj = cls(**kwargs)
+        assert cls.__dataclass_params__.frozen, cls
+        for f in dataclasses.fields(cls):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, f.name, getattr(obj, f.name))
+        for name, given in kwargs.items():
+            pairs = zip(getattr(obj, name), given) if name == "intermediate" else [(getattr(obj, name), given)]
+            for kept, mine in pairs:
+                if isinstance(mine, np.ndarray):
+                    assert not kept.flags.writeable, (cls, name)
+                    assert not np.shares_memory(kept, mine), (cls, name)
+                elif isinstance(mine, list):
+                    assert type(kept) is tuple, (cls, name)
+        if cls is BivpSpec:
+            assert type(obj.intermediate) is tuple
+
+
+def test_file_errors_are_value_errors(tmp_path):
+    """One except ValueError catches a malformed file of each format."""
+    bad = tmp_path / "bad"
+    bad.write_bytes(b"not a quadplan file")
+    for load, error in ((load_grid, MapFileError), (load_region, RegionFileError),
+                        (load_trajectory, TrajectoryFileError)):
+        assert issubclass(error, ValueError)
+        with pytest.raises(ValueError) as info:
+            load(bad)
+        assert type(info.value) is error
 
 
 _SIGNATURES = {

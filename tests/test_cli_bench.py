@@ -125,6 +125,27 @@ def test_aggregate_report_success_rate():
     assert agg["median_final_cost"] == pytest.approx(6.0)
 
 
+def test_aggregate_report_computes_its_summary():
+    """summary is no constructor argument: a dict passed in used to be
+    filled in place, kept its stale keys and was returned as the summary."""
+    recs = [TrialRecord("m", "uniform", 0, True, init_iter=10)]
+    with pytest.raises(TypeError):
+        AggregateReport(recs, summary={("stale", "uniform"): {}})
+    a, b = AggregateReport(recs), AggregateReport(recs)
+    assert list(a.summary) == [("m", "uniform")] and a.summary is not b.summary
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"workers": 0}, {"workers": -3}, {"workers": 2.0}, {"trials": 0}, {"trials": 2.5},
+])
+def test_run_benchmark_rejects_non_positive_integer_counts(kwargs):
+    """workers=0 or -3 used to run serially without a word, and trials=2.5
+    was a bare TypeError from range."""
+    name = next(iter(kwargs))
+    with pytest.raises(ValueError, match=name):
+        run_benchmark([], ["uniform"], **{"trials": 1, **kwargs})
+
+
 def test_write_report_round_trip(tmp_path):
     recs = [TrialRecord("a", "uniform", 1, True, init_iter=5)]
     path = tmp_path / "r.csv"
@@ -277,3 +298,7 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     assert rc == 1  # runtime error
     assert "error:" in capsys.readouterr().err
     assert main(["genmap", "--dims", "1,2", "--out", "x"]) == 2  # bad triple
+    report = tmp_path / "r.csv"
+    assert main(["bench", "--n-maps", "1", "--workers", "0", "--report", str(report)]) == 1
+    assert "workers must be an integer >= 1" in capsys.readouterr().err
+    assert not report.exists()

@@ -499,6 +499,36 @@ def test_random_map_keep_free_and_placement_error():
         random_cluttered_map((5, 5, 5), 1.0, dense, seed=0, keep_free=[(2, 2, 2)])
 
 
+def test_obstacle_spec_keeps_int_tuples():
+    """The spec keeps tuples of ints. It used to keep the caller's lists, so
+    a size_min checked as [1, 1, 1] and then set to [0, 0, 0] drew empty
+    cuboids; and an np.int64 count was a bare TypeError."""
+    size_min = [1, 1, 1]
+    spec = ObstacleSpec(count=(6, 6), size_min=size_min, size_max=[1, 1, 1])
+    size_min[:] = [0, 0, 0]
+    assert spec.size_min == (1, 1, 1) and spec.size_max == (1, 1, 1)
+    fresh = ObstacleSpec(count=(6, 6), size_min=(1, 1, 1), size_max=(1, 1, 1))
+    assert random_cluttered_map((8, 8, 8), 1.0, spec, seed=3) == random_cluttered_map(
+        (8, 8, 8), 1.0, fresh, seed=3)
+
+    spec = ObstacleSpec(count=np.int64(3), size_min=np.array([2, 2, 2]), size_max=(np.int64(3), 3, 4))
+    assert (spec.count, spec.size_min, spec.size_max) == ((3, 3), (2, 2, 2), (3, 3, 4))
+    assert all(type(c) is int for c in spec.count + spec.size_min + spec.size_max)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        spec.count = (1, 1)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"count": 2.0}, {"count": (1, 2, 3)}, {"count": (1.5, 2)},
+    {"size_min": (1, 1)}, {"size_max": (2.0, 2, 2)}, {"size_min": 1},
+])
+def test_obstacle_spec_rejects_non_integer_ranges(kwargs):
+    """Each range holds integers: a float size was truncated, and a float
+    count reached rng.integers."""
+    with pytest.raises(ValueError):
+        ObstacleSpec(**{"count": (1, 2), "size_min": (1, 1, 1), "size_max": (2, 2, 2), **kwargs})
+
+
 def test_obstacle_spec_validation():
     with pytest.raises(ValueError):
         ObstacleSpec(count=(3, 1), size_min=(1, 1, 1), size_max=(2, 2, 2))

@@ -1,6 +1,7 @@
 """End-to-end pipeline: pruning, planning-to-trajectory composition, flat
 flags and yaw profiling."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -162,8 +163,8 @@ def test_pipeline_failures():
         plan_trajectory(blocked, (1.5, 1.5, 1.5), cfg.planner.goal, cfg)
 
     starved = make_config((8.5, 8.5, 8.5))
-    starved.planner = PlannerConfig(
-        step=1.0, goal=starved.planner.goal, max_iterations=1
+    starved = dataclasses.replace(
+        starved, planner=PlannerConfig(step=1.0, goal=starved.planner.goal, max_iterations=1)
     )
     with pytest.raises(PlanningFailure):
         plan_trajectory(grid, (0.5, 0.5, 0.5), starved.planner.goal, starved)
@@ -222,8 +223,7 @@ def test_front_end_filters_only_external_regions():
     grid = random_cluttered_map((14, 14, 14), 1.0, spec, seed=4, keep_free=[s_vox, g_vox])
     start = grid.index_to_world(s_vox)
     goal = GoalRegion(grid.index_to_world(g_vox), 1.5)
-    cfg = make_config(goal.center, seed=2).planner
-    cfg.max_iterations = 400
+    cfg = dataclasses.replace(make_config(goal.center, seed=2).planner, max_iterations=400)
 
     def tree(result):
         return result.tree.points.copy(), list(result.tree.parent)

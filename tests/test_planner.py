@@ -798,6 +798,17 @@ def test_planner_config_validation():
     PlannerConfig(step=1.0, goal=goal, max_iterations=10, target_cost=math.inf)
 
 
+@pytest.mark.parametrize("field, value", [("max_iterations", 2.5), ("step", -1.0)])
+def test_planner_config_is_frozen(field, value):
+    """An assignment after construction skipped the checks: max_iterations
+    = 2.5 and step = -1.0 were accepted. replace runs them again."""
+    cfg = PlannerConfig(step=1.0, goal=goal_at((1, 1, 1)), max_iterations=10)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(cfg, field, value)
+    with pytest.raises(ValueError, match=field):
+        dataclasses.replace(cfg, **{field: value})
+
+
 def test_planner_config_accepts_numpy_integer_max_iterations():
     runs = [
         plan(empty_grid(10), (1.5, 1.5, 1.5), PlannerConfig(

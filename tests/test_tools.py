@@ -1,7 +1,8 @@
-"""tools/bench_pairs.py: seed lists, the per-metric pair summary and the
-commit checkout."""
+"""tools/bench_pairs.py: seed lists, the per-metric pair summary, the
+commit checkout and the file it writes."""
 
 import importlib.util
+import json
 import subprocess
 import tarfile
 from pathlib import Path
@@ -54,3 +55,35 @@ def test_checkout_unpacks_the_committed_files(tmp_path, monkeypatch, filtered):
     want = subprocess.run(["git", "show", "HEAD:tools/bench_pairs.py"], cwd=bench_pairs.ROOT,
                           check=True, capture_output=True).stdout
     assert (tree / "tools" / "bench_pairs.py").read_bytes() == want
+
+
+def test_each_workload_records_its_own_seconds(tmp_path, monkeypatch):
+    """Two workloads added to one file at different --seconds each keep
+    their own; the shared description names no number. It used to keep the
+    first run's --seconds, which misdescribed a workload added later. Git,
+    the checkout and the runs are stand-ins: nothing is run or written
+    outside tmp_path."""
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(
+        {"end_to_end": [{"name": "op_ms_p50", "better": "lower"}]}))
+    runs = []
+
+    def run_once(tree, workload, seed, seconds):
+        runs.append((tree.name, workload, seed, seconds))
+        return {"metrics": {"op_ms_p50": {"value": float(seed), "unit": "ms"}}}, False
+
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_pairs, "git", lambda *args: args[-1].split("^")[0].encode())
+    monkeypatch.setattr(bench_pairs, "checkout", lambda sha, into: into)
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    common = ["pairs", "--parent", "aaa", "--change", "bbb"]
+    bench_pairs.main([*common, "--workload", "backend", "--seeds", "1-2", "--seconds", "10"])
+    bench_pairs.main([*common, "--workload", "pipeline", "--seeds", "3", "--seconds", "2.5"])
+
+    doc = json.loads((tmp_path / "BENCH_pairs.json").read_text())
+    assert (doc["parent_sha"], doc["change_sha"]) == ("aaa", "bbb")
+    assert {w: doc["workloads"][w]["seconds"] for w in doc["workloads"]} == {"backend": 10.0, "pipeline": 2.5}
+    assert "--seconds N" in doc["what"] and "10" not in doc["what"]
+    assert runs == [("parent", "backend", 1, 10.0), ("change", "backend", 1, 10.0),
+                    ("change", "backend", 2, 10.0), ("parent", "backend", 2, 10.0),
+                    ("parent", "pipeline", 3, 2.5), ("change", "pipeline", 3, 2.5)]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["BENCHMARK.json", "BENCH_pairs.json"]

@@ -1,6 +1,7 @@
 """Back end: time allocation, banded system assembly and solve, trajectory
 evaluation, control effort, collision repair and file formats."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -209,8 +210,9 @@ def test_bivp_spec_intermediates_keep_values_shapes_and_dtype():
     """Every intermediate condition comes out as the per-entry
     np.atleast_2d(np.asarray(g, dtype=float)) made it: the default (each
     interior waypoint as an (m, 1) column), nested lists, integer and
-    float32 arrays, 1-D rows for m = 1 and mixed d_i; a 2-D float64 array,
-    as collision_repair passes, is kept without a copy."""
+    float32 arrays, 1-D rows for m = 1 and mixed d_i. Each is read-only and
+    none is the caller's array, not even a 2-D float64 one as
+    collision_repair passes."""
 
     def old_conversion(intermediate):
         return [np.atleast_2d(np.asarray(g, dtype=float)) for g in intermediate]
@@ -237,7 +239,53 @@ def test_bivp_spec_intermediates_keep_values_shapes_and_dtype():
             assert got.shape == w.shape and got.tobytes() == w.tobytes()
     first = np.column_stack([wp[1], kept[:, 1]])
     spec = BivpSpec(s=3, waypoints=wp, durations=np.ones(3), intermediate=[first, kept[:, :1]])
-    assert spec.intermediate[0] is first
+    assert type(spec.intermediate) is tuple
+    assert spec.intermediate[0] is not first and not spec.intermediate[0].flags.writeable
+    first[:] = 0.0
+    assert spec.intermediate[0][:, 1].tolist() == kept[:, 1].tolist()
+
+
+def test_bivp_spec_keeps_its_own_copies():
+    """A write to the caller's arrays after construction reaches neither the
+    spec nor its solve. The spec used to keep a float64 waypoint array
+    itself, and its default flags the positions they were built from: after
+    wp += 5, spec.waypoints[0] read (5, 5, 5) and the solve started at
+    (0, 0, 0)."""
+    wp = np.array([[0.0, 0, 0], [1, 0, 0], [2, 1, 0], [3, 1, 1]])
+    d = np.ones(3)
+    spec = BivpSpec.rest_to_rest(wp, d, 3)
+    want = wp.copy()
+    wp += 5.0
+    d[:] = 2.0
+    assert spec.waypoints.tolist() == want.tolist() and spec.durations.tolist() == [1.0] * 3
+    assert solve_bivp(spec).eval(0.0).tolist() == spec.waypoints[0].tolist()
+    for g, w in zip(spec.intermediate, want[1:-1]):
+        assert g[:, 0].tolist() == w.tolist() and not g.flags.writeable
+
+    flags = {"boundary_start": np.column_stack([want[0], np.ones((3, 2))]),
+             "intermediate": [want[1].reshape(3, 1).copy(), np.column_stack([want[2], np.ones(3)])]}
+    spec = BivpSpec(s=3, waypoints=want, durations=np.ones(3), **flags)
+    flags["boundary_start"][:] = 7.0
+    for g in flags["intermediate"]:
+        g[:] = 7.0
+    assert spec.boundary_start[:, 1:].tolist() == np.ones((3, 2)).tolist()
+    assert [g[:, 0].tolist() for g in spec.intermediate] == want[1:-1].tolist()
+
+
+def test_bivp_spec_changes_only_through_replace():
+    """Assigning a field used to skip every check: spec.waypoints = wp + 5
+    left the default flags at the old positions. Now it is an error, and
+    replace runs the checks, so moved waypoints with the old flags are the
+    position check's ValueError."""
+    wp = np.array([[0.0, 0, 0], [1, 0, 0], [2, 1, 0]])
+    spec = BivpSpec.rest_to_rest(wp, [1.0, 1.0], 3)
+    for name in ("s", "waypoints", "durations", "boundary_start", "boundary_end", "intermediate"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(spec, name, getattr(spec, name))
+    with pytest.raises(ValueError, match="must equal its waypoint"):
+        dataclasses.replace(spec, waypoints=wp + 5.0)
+    moved = dataclasses.replace(spec, durations=[2.0, 2.0])
+    assert moved.durations.tolist() == [2.0, 2.0] and spec.durations.tolist() == [1.0, 1.0]
 
 
 def test_zero_segments_are_value_errors():

@@ -9,11 +9,12 @@ Pair i runs ``python3 benchmarks/run.py --workload W --seed S --seconds N
 --trace 0`` once on each side, the parent first on even pairs and the change
 first on odd ones, so a drift of the host's speed favours neither side.
 
-The file keeps, per workload, each side's last JSON line per pair and the
-``load_warning`` of each run's report, and a summary per end-to-end metric of
-BENCHMARK.json: each side's quartiles and the number of pairs in which the
-change was better (ties count for neither). Running it again with another
-workload and the same two commits adds that workload to the file.
+The file keeps, per workload, its ``--seconds``, each side's last JSON line
+per pair and the ``load_warning`` of each run's report, and a summary per
+end-to-end metric of BENCHMARK.json: each side's quartiles and the number of
+pairs in which the change was better (ties count for neither). Running it
+again with another workload and the same two commits adds that workload to
+the file, at its own ``--seconds``.
 """
 
 from __future__ import annotations
@@ -114,8 +115,8 @@ def main(argv=None) -> None:
 
         doc = {
             "what": ("Alternating parent/change pairs of `python3 benchmarks/run.py --workload W "
-                     f"--seed S --seconds {args.seconds:g} --trace 0`, each side run from a clean copy "
-                     "of its commit's files (`git archive`), by `tools/bench_pairs.py`"),
+                     "--seed S --seconds N --trace 0` (N is each workload's `seconds`), each side run "
+                     "from a clean copy of its commit's files (`git archive`), by `tools/bench_pairs.py`"),
             "claim": args.claim,
             "parent_sha": shas["parent"],
             "change_sha": shas["change"],
@@ -142,7 +143,8 @@ def main(argv=None) -> None:
             print(f"{args.workload} seed {seed}: op_ms_p50 parent {p50['parent']:.3f} "
                   f"change {p50['change']:.3f}", flush=True)
 
-    doc["workloads"][args.workload] = {"why": args.why, "summary": summary(pairs, metrics), "pairs": pairs}
+    doc["workloads"][args.workload] = {"why": args.why, "seconds": args.seconds,
+                                       "summary": summary(pairs, metrics), "pairs": pairs}
     path.write_text(json.dumps(doc, indent=1) + "\n")
     for row in doc["workloads"][args.workload]["summary"]:
         print(f"{row['metric']:12s} parent {row['parent_q1_median_q3']} change "
