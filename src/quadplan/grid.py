@@ -272,8 +272,10 @@ class ObstacleSpec:
 
     def __post_init__(self):
         count = (self.count, self.count) if isinstance(self.count, numbers.Integral) else self.count
-        for name, value, n in (("count", count, 2), ("size_min", self.size_min, 3), ("size_max", self.size_max, 3)):
-            if np.ndim(value) != 1 or len(value) != n or not all(isinstance(c, numbers.Integral) for c in value):
+        ranges = (("count", count, 2), ("size_min", self.size_min, 3), ("size_max", self.size_max, 3))
+        for name, value, n in ranges:
+            ints = np.ndim(value) == 1 and all(isinstance(c, numbers.Integral) for c in value)
+            if not ints or len(value) != n:
                 raise ValueError(f"{name} must hold {n} integers, got {value!r}")
             object.__setattr__(self, name, tuple(map(int, value)))
         lo, hi = self.count

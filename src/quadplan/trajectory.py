@@ -138,7 +138,8 @@ class BivpSpec:
         else:
             if len(self.intermediate) != M - 1:
                 raise ValueError("need exactly M-1 intermediate conditions")
-            intermediate = tuple(np.atleast_2d(_read_only_copy(g, float)) for g in self.intermediate)
+            intermediate = tuple(np.atleast_2d(_read_only_copy(g, float))
+                                 for g in self.intermediate)
             for g in intermediate:
                 if g.ndim != 2:
                     raise ValueError(f"intermediate conditions must be (m, d_i) arrays, got shape {g.shape}")
