@@ -7,7 +7,6 @@ import csv
 import math
 import numbers
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from functools import partial
 
@@ -172,6 +171,10 @@ def run_benchmark(
     jobs = [(case, mode, seed_base + t) for case in cases for mode in modes for t in range(trials)]
     trial = partial(run_trial, **trial_kwargs)
     if workers > 1:
+        # Imported here: concurrent.futures costs every `import quadplan`
+        # about 21 ms and 2 MB, and only a pool uses it.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(trial, *zip(*jobs), chunksize=4))
     else:

@@ -262,7 +262,8 @@ class ObstacleSpec:
 
     count, size_min and size_max are kept as tuples of ints, so no later
     write by the caller reaches a checked value; an integral count n is the
-    range (n, n).
+    range (n, n). max_retries, kept as an int, is the number of draws per
+    obstacle before PlacementError, at least 1.
     """
 
     count: tuple[int, int]
@@ -283,6 +284,9 @@ class ObstacleSpec:
             raise ValueError("bad obstacle count range")
         if min(self.size_min) < 1 or any(a < b for a, b in zip(self.size_max, self.size_min)):
             raise ValueError("bad cuboid size range")
+        if not isinstance(self.max_retries, numbers.Integral) or self.max_retries < 1:
+            raise ValueError(f"max_retries must be an integer >= 1, not {self.max_retries!r}")
+        object.__setattr__(self, "max_retries", int(self.max_retries))
 
 
 def random_cluttered_map(

@@ -10,8 +10,11 @@ from __future__ import annotations
 
 import bisect
 import functools
+import importlib.machinery
+import importlib.util
 import math
 import numbers
+import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -279,6 +282,29 @@ def build_banded_system(spec: BivpSpec) -> BandedSystem:
     return BandedSystem(n, kl, ku, band, rhs.T)
 
 
+@functools.cache
+def _lapack():
+    """scipy's LAPACK extension, scipy.linalg._flapack, loaded from scipy's
+    linalg directory without running scipy/linalg/__init__.py.
+
+    Its routines are the very objects scipy.linalg.lapack exports. That
+    module imports the same extension unconditionally, so a scipy without
+    it has no LAPACK at all: ImportError, with no other path to try."""
+    import scipy
+
+    name = "scipy.linalg._flapack"
+    linalg_dir = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+    finder = importlib.machinery.FileFinder(
+        linalg_dir, (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES)
+    )
+    spec = finder.find_spec(name)
+    if spec is None:
+        raise ImportError(f"{name} not found in {linalg_dir}", name=name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def banded_plu_solve(sys: BandedSystem) -> np.ndarray:
     """Solve A c = b by banded PLU with partial pivoting inside the band;
     O(M) work and storage for fixed s. Raises SingularSystemError when a
@@ -287,10 +313,10 @@ def banded_plu_solve(sys: BandedSystem) -> np.ndarray:
     LAPACK factors and solves copies, so sys.band and sys.rhs are left as
     they were. The (n, m) solution is returned as LAPACK gives it, in
     column-major order."""
-    # Imported here: scipy.linalg costs about 200 ms and 25 MB on import,
-    # and a planner run that never solves should not pay for it.
-    from scipy.linalg import lapack
-
+    # Loaded on the first solve, so a planner run that never solves loads no
+    # LAPACK. The extension alone costs about 3 ms and 2.6 MB; importing
+    # scipy.linalg.lapack would load about 310 modules (140 ms and 27 MB).
+    lapack = _lapack()
     lu, ipiv, info = lapack.dgbtrf(sys.band, sys.kl, sys.ku)
     if info < 0:
         raise ValueError(f"illegal argument {-info} to banded factorization")

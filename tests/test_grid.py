@@ -538,6 +538,18 @@ def test_obstacle_spec_validation():
         ObstacleSpec(count=1, size_min=(3, 3, 3), size_max=(2, 2, 2))
 
 
+@pytest.mark.parametrize("max_retries", [0, -1, 2.5, "3"])
+def test_obstacle_spec_rejects_max_retries_below_one_or_not_integer(max_retries):
+    """max_retries is an integer >= 1. 0 and -1 used to pass, and placing a
+    1-voxel obstacle on an empty map then failed with "could not place
+    obstacle after 0 retries"; 2.5 was a bare TypeError from range."""
+    with pytest.raises(ValueError, match="max_retries"):
+        ObstacleSpec(count=1, size_min=(1, 1, 1), size_max=(1, 1, 1), max_retries=max_retries)
+    spec = ObstacleSpec(count=1, size_min=(1, 1, 1), size_max=(1, 1, 1), max_retries=np.int64(1))
+    assert type(spec.max_retries) is int and spec.max_retries == 1
+    assert random_cluttered_map((8, 8, 8), 1.0, spec, seed=0).occupancy.sum() == 1
+
+
 # ------------------------------------------------------------------------- I/O
 
 

@@ -41,6 +41,48 @@ def test_summary_counts_better_pairs_by_direction_and_ties_for_neither():
     assert rate["change_q1_median_q3"] == [165.0, 187.5, 216.25]
 
 
+def _row(parent, change, better, pairs=10):
+    return {"pairs": pairs, "parent_q1_median_q3": parent, "change_q1_median_q3": change,
+            "change_better_pairs": better}
+
+
+@pytest.mark.parametrize("row, lower, want", [
+    (_row([60.0, 61.0, 62.0], [57.0, 58.0, 59.0], 9), True, "gain shown"),
+    (_row([60.0, 61.0, 62.0], [57.0, 58.0, 59.0], 8), True, "not shown"),  # 8/10 pairs
+    (_row([60.0, 61.0, 62.0], [58.0, 59.0, 60.0], 10), True, "not shown"),  # 2.0 is no more than Q3 - Q1
+    (_row([60.0, 61.0, 62.0], [57.0, 58.0, 59.0], 9, pairs=9), True, "not shown"),  # fewer than ten pairs
+    (_row([90.0, 100.0, 105.0], [110.0, 120.0, 130.0], 18, pairs=20), False, "gain shown"),
+    (_row([90.0, 100.0, 105.0], [60.0, 80.0, 90.0], 18, pairs=20), False, "not shown"),  # median moved the wrong way
+    (_row([90.0, 100.0, 105.0], [60.0, 80.0, 90.0], 18, pairs=20), True, "gain shown"),
+])
+def test_verdict_needs_nine_tenths_of_ten_pairs_and_a_median_gap_beyond_the_parent_spread(row, lower, want):
+    assert bench_pairs.verdict(row, lower) == want
+
+
+def test_main_prints_every_metric_per_pair_and_a_verdict_per_metric(tmp_path, monkeypatch, capsys):
+    """Each pair's line shows every end-to-end metric, parent -> change,
+    and the summary ends with one verdict per metric. Git, the checkout
+    and the runs are stand-ins: nothing is run outside tmp_path."""
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+        {"name": "op_ms_p50", "better": "lower"}, {"name": "peak_rss_mb", "better": "lower"}]}))
+
+    def run_once(tree, workload, seed, seconds):
+        rss = 60.0 + seed / 100 if tree.name == "change" else 77.0 + seed / 100
+        return {"metrics": {"op_ms_p50": {"value": 11.5, "unit": "ms"},
+                            "peak_rss_mb": {"value": rss, "unit": "MB"}}}, False
+
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_pairs, "git", lambda *args: args[-1].split("^")[0].encode())
+    monkeypatch.setattr(bench_pairs, "checkout", lambda sha, into: into)
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    bench_pairs.main(["pairs", "--parent", "aaa", "--change", "bbb", "--workload", "pipeline",
+                      "--seeds", "1-10"])
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == ("pipeline seed 1 (parent -> change): op_ms_p50 11.500 -> 11.500, "
+                        "peak_rss_mb 77.010 -> 60.010")
+    assert lines[-2:] == ["op_ms_p50    not shown", "peak_rss_mb  gain shown"]
+
+
 @pytest.mark.skipif(not (bench_pairs.ROOT / ".git").exists(), reason="needs the git repository")
 @pytest.mark.parametrize("filtered", [True, False], ids=["data_filter", "no_data_filter"])
 @pytest.mark.filterwarnings("ignore:Python 3.14 will:DeprecationWarning")

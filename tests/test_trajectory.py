@@ -400,6 +400,27 @@ def test_banded_plu_solve_leaves_the_system_unchanged():
     assert banded_plu_solve(sys).tobytes() == first.tobytes()
 
 
+def test_banded_plu_solve_matches_scipy_linalg_lapack_bit_for_bit():
+    """banded_plu_solve loads scipy's LAPACK extension without the
+    scipy.linalg package; its solution bytes equal dgbtrf/dgbtrs of the
+    public scipy.linalg.lapack run on the same band. The public module is
+    imported after a first solve, so a package import that follows the
+    extension's lone load is covered too."""
+    rng = np.random.default_rng(16)
+    systems = [build_banded_system(random_bivp_spec(rng, BivpSpec, s=s, M=M))
+               for s in (1, 2, 3, 4) for M in (1, 2, 7)]
+    got = [banded_plu_solve(sys) for sys in systems]
+
+    from scipy.linalg import lapack
+
+    assert trajectory_module._lapack().dgbtrf is lapack.dgbtrf
+    for sys, x in zip(systems, got):
+        lu, ipiv, info = lapack.dgbtrf(sys.band, sys.kl, sys.ku)
+        assert info == 0
+        want, info = lapack.dgbtrs(lu, sys.kl, sys.ku, sys.rhs, ipiv)
+        assert info == 0 and x.tobytes() == want.tobytes()
+
+
 def test_banded_solution_satisfies_dense_constraints():
     """Dual route: the banded solve must satisfy the independently assembled
     naturally-ordered dense constraint system."""
@@ -640,17 +661,19 @@ def test_sample_errors_and_empty_times():
 
 
 def test_import_leaves_scipy_linalg_unloaded():
-    """LAPACK is imported by banded_plu_solve alone, on its first solve:
-    importing the package does not pay for scipy.linalg."""
+    """Importing the package loads neither scipy.linalg nor
+    concurrent.futures, which only a benchmark's process pool uses. The
+    first solve loads scipy's LAPACK extension alone: scipy.linalg stays
+    unloaded after it, where it used to be imported whole."""
     assert run_fresh_python([
         "import sys",
         "import numpy as np",
         "import quadplan",
         "from quadplan.trajectory import BivpSpec, solve_bivp",
-        "print('scipy.linalg' in sys.modules)",
+        "print('scipy.linalg' in sys.modules, 'concurrent.futures' in sys.modules)",
         "spec = BivpSpec.rest_to_rest(np.array([[0.0], [1.0]]), [1.0], 3)",
         "print(round(float(solve_bivp(spec).eval(0.5)[0]), 9), 'scipy.linalg' in sys.modules)",
-    ]) == ["False", "0.5", "True"]
+    ]) == ["False", "False", "0.5", "False"]
 
 
 def test_piecewise_polynomial_rejects_bad_durations():

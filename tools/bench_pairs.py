@@ -15,6 +15,9 @@ end-to-end metric of BENCHMARK.json: each side's quartiles and the number of
 pairs in which the change was better (ties count for neither). Running it
 again with another workload and the same two commits adds that workload to
 the file, at its own ``--seconds``.
+
+It prints each pair's end-to-end metrics as it goes, then the summary and a
+verdict per metric: "gain shown" or "not shown" (see ``verdict``).
 """
 
 from __future__ import annotations
@@ -91,6 +94,17 @@ def summary(pairs: list[dict], metrics: list[dict]) -> list[dict]:
     return out
 
 
+def verdict(row: dict, lower: bool) -> str:
+    """"gain shown" when at least ten pairs were run, the change was better
+    in at least nine tenths of them, and its median beats the parent's by
+    more than the parent's quartile spread (Q3 - Q1); else "not shown"."""
+    q1, parent_median, q3 = row["parent_q1_median_q3"]
+    change_median = row["change_q1_median_q3"][1]
+    gain = parent_median - change_median if lower else change_median - parent_median
+    shown = row["pairs"] >= 10 and 10 * row["change_better_pairs"] >= 9 * row["pairs"] and gain > q3 - q1
+    return "gain shown" if shown else "not shown"
+
+
 def main(argv=None) -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("name", help="the file written is BENCH_<name>.json at the repository root")
@@ -139,16 +153,19 @@ def main(argv=None) -> None:
                 pair[side], warnings[side] = run_once(trees[side], args.workload, seed, args.seconds)
             pair["load_warning"] = {side: warnings[side] for side in ("parent", "change")}
             pairs.append(pair)
-            p50 = {side: pair[side]["metrics"]["op_ms_p50"]["value"] for side in ("parent", "change")}
-            print(f"{args.workload} seed {seed}: op_ms_p50 parent {p50['parent']:.3f} "
-                  f"change {p50['change']:.3f}", flush=True)
+            values = [f"{m['name']} {pair['parent']['metrics'][m['name']]['value']:.3f} -> "
+                      f"{pair['change']['metrics'][m['name']]['value']:.3f}" for m in metrics]
+            print(f"{args.workload} seed {seed} (parent -> change): {', '.join(values)}", flush=True)
 
     doc["workloads"][args.workload] = {"why": args.why, "seconds": args.seconds,
                                        "summary": summary(pairs, metrics), "pairs": pairs}
     path.write_text(json.dumps(doc, indent=1) + "\n")
-    for row in doc["workloads"][args.workload]["summary"]:
+    rows = doc["workloads"][args.workload]["summary"]
+    for row in rows:
         print(f"{row['metric']:12s} parent {row['parent_q1_median_q3']} change "
               f"{row['change_q1_median_q3']} better {row['change_better_pairs']}/{row['pairs']}")
+    for row, spec in zip(rows, metrics):
+        print(f"{row['metric']:12s} {verdict(row, spec['better'] == 'lower')}")
 
 
 if __name__ == "__main__":
