@@ -6,8 +6,12 @@ inflation, seeded random map generation and binary persistence.
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
 import math
 import numbers
+import os
 import struct
 from dataclasses import dataclass
 
@@ -35,6 +39,32 @@ def _read_only_copy(a, dtype) -> np.ndarray:
     out = np.array(a, dtype=dtype, order="C")
     out.setflags(write=False)
     return out
+
+
+@functools.cache
+def _scipy_extension(subpackage: str, name: str):
+    """scipy's compiled extension scipy.<subpackage>.<name>, loaded from its
+    directory without running that subpackage's __init__.py.
+
+    The package imports load hundreds of modules (about 300 each for
+    scipy.linalg and scipy.ndimage) for the few routines the library calls;
+    an extension alone costs a few milliseconds. Its routines are the very
+    objects the package exports. The package imports the same extension
+    unconditionally, so a scipy without it cannot provide the routine at
+    all: ImportError, with no other path to try."""
+    import scipy
+
+    full_name = f"scipy.{subpackage}.{name}"
+    directory = os.path.join(os.path.dirname(scipy.__file__), subpackage)
+    finder = importlib.machinery.FileFinder(
+        directory, (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES)
+    )
+    spec = finder.find_spec(full_name)
+    if spec is None:
+        raise ImportError(f"{full_name} not found in {directory}", name=full_name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @dataclass(frozen=True, eq=False)
@@ -242,17 +272,25 @@ def segment_collision_free(grid: OccupancyGrid, a, b) -> bool:
 
 
 def inflate(grid: OccupancyGrid, radius_voxels: int) -> OccupancyGrid:
-    """Chebyshev (cube) dilation of the occupied set by radius_voxels."""
+    """Chebyshev (cube) dilation of the occupied set by radius_voxels, with
+    everything outside the grid free.
+
+    The cube is separable: dilating by [-r, r] along each axis in turn marks
+    exactly the voxels within Chebyshev distance r of an occupied one. Along
+    one axis that is r pairs of ORs of the axis's input shifted by k = 1..r
+    each way, in place; a shift of a whole axis length or more moves
+    nothing in."""
     if radius_voxels < 0:
         raise ValueError("radius_voxels must be nonnegative")
     if radius_voxels == 0 or not grid.occupancy.any():
         return grid
-    # Imported here: scipy.ndimage costs about 100 ms and 5 MB on import,
-    # and only inflation, region filtering and is_connected use it.
-    from scipy import ndimage
-
-    size = 2 * radius_voxels + 1
-    occ = ndimage.binary_dilation(grid.occupancy, structure=np.ones((size,) * 3, dtype=bool))
+    occ = grid.occupancy.copy()
+    for axis in range(3):
+        out = np.moveaxis(occ, axis, 0)
+        src = out.copy()
+        for k in range(1, min(radius_voxels, len(out) - 1) + 1):
+            out[k:] |= src[:-k]
+            out[:-k] |= src[k:]
     return OccupancyGrid(occ, grid.resolution, grid.origin)
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import OccupancyGrid, _read_only_copy
+from .grid import OccupancyGrid, _read_only_copy, _scipy_extension
 
 REGION_MAGIC = b"MNRHEUR1"
 
@@ -204,21 +204,32 @@ def oracle_region(grid: OccupancyGrid, start, goal) -> HeuristicRegion:
     return HeuristicRegion(vals)
 
 
+def _labels(mask: np.ndarray) -> np.ndarray:
+    """26-connected component labels of a boolean 3D mask, 0 off the mask:
+    what scipy.ndimage.label gives with a 3x3x3 structure, from the routine
+    it calls after its argument checks, loaded without the scipy.ndimage
+    package. An intp output holds any label count, so the routine never
+    asks for more bits."""
+    labels = np.empty(mask.shape, dtype=np.intp)
+    _scipy_extension("ndimage", "_ni_label")._label(mask, _CUBE, labels)
+    return labels
+
+
 def filter_region(region: HeuristicRegion, grid: OccupancyGrid, start, goal) -> HeuristicRegion:
     """Turn a raw (possibly probabilistic) region into a usable sampling
     support: binarize at 0.5 (a value of at least 0.5 is a member), zero
     occupied voxels, keep only the 26-connected component(s) containing
-    start and/or goal, and force-include the start and goal voxels."""
+    start and/or goal, and force-include the start and goal voxels. An
+    occupied start or goal is a ValueError, as in astar_path, since forcing
+    it in would put an obstacle in the region."""
     if region.dims != grid.dims:
         raise ValueError(f"region dims {region.dims} != grid dims {grid.dims}")
     start = _voxel(start, grid.dims, "start")
     goal = _voxel(goal, grid.dims, "goal")
-    # Imported here, as in grid.inflate: plan_front_end filters only a region
-    # passed in, so the default pipeline never calls this.
-    from scipy import ndimage
-
-    mask = (region.values >= 0.5) & ~grid.occupancy
-    labels, n = ndimage.label(mask, structure=_CUBE)
+    for name, v in (("start", start), ("goal", goal)):
+        if grid.occupancy[v]:
+            raise ValueError(f"{name} voxel {v} is occupied")
+    labels = _labels((region.values >= 0.5) & ~grid.occupancy)
     keep = {labels[start], labels[goal]} - {0}
     if not keep:
         raise EmptyRegionError(
@@ -280,9 +291,7 @@ def is_connected(region: HeuristicRegion, start, goal) -> bool:
     mask = region.mask
     if not (mask[start] and mask[goal]):
         return False
-    from scipy import ndimage
-
-    labels, _ = ndimage.label(mask, structure=_CUBE)
+    labels = _labels(mask)
     return labels[start] == labels[goal]
 
 

@@ -10,16 +10,13 @@ from __future__ import annotations
 
 import bisect
 import functools
-import importlib.machinery
-import importlib.util
 import math
 import numbers
-import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .grid import OccupancyGrid, _read_only_copy, segment_collision_free
+from .grid import OccupancyGrid, _read_only_copy, _scipy_extension, segment_collision_free
 
 
 class SingularSystemError(Exception):
@@ -282,29 +279,6 @@ def build_banded_system(spec: BivpSpec) -> BandedSystem:
     return BandedSystem(n, kl, ku, band, rhs.T)
 
 
-@functools.cache
-def _lapack():
-    """scipy's LAPACK extension, scipy.linalg._flapack, loaded from scipy's
-    linalg directory without running scipy/linalg/__init__.py.
-
-    Its routines are the very objects scipy.linalg.lapack exports. That
-    module imports the same extension unconditionally, so a scipy without
-    it has no LAPACK at all: ImportError, with no other path to try."""
-    import scipy
-
-    name = "scipy.linalg._flapack"
-    linalg_dir = os.path.join(os.path.dirname(scipy.__file__), "linalg")
-    finder = importlib.machinery.FileFinder(
-        linalg_dir, (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES)
-    )
-    spec = finder.find_spec(name)
-    if spec is None:
-        raise ImportError(f"{name} not found in {linalg_dir}", name=name)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def banded_plu_solve(sys: BandedSystem) -> np.ndarray:
     """Solve A c = b by banded PLU with partial pivoting inside the band;
     O(M) work and storage for fixed s. Raises SingularSystemError when a
@@ -316,7 +290,7 @@ def banded_plu_solve(sys: BandedSystem) -> np.ndarray:
     # Loaded on the first solve, so a planner run that never solves loads no
     # LAPACK. The extension alone costs about 3 ms and 2.6 MB; importing
     # scipy.linalg.lapack would load about 310 modules (140 ms and 27 MB).
-    lapack = _lapack()
+    lapack = _scipy_extension("linalg", "_flapack")
     lu, ipiv, info = lapack.dgbtrf(sys.band, sys.kl, sys.ku)
     if info < 0:
         raise ValueError(f"illegal argument {-info} to banded factorization")

@@ -388,6 +388,39 @@ def reference_dilate_path(path, dims):
     return ndimage.binary_dilation(mask, structure=np.ones((3, 3, 3), dtype=bool))
 
 
+def reference_inflate(occupancy, radius_voxels):
+    """grid.inflate's occupancy as scipy.ndimage's binary dilation by a
+    (2r+1)^3 cube, everything outside the grid free."""
+    size = 2 * radius_voxels + 1
+    return ndimage.binary_dilation(occupancy, structure=np.ones((size,) * 3, dtype=bool))
+
+
+def reference_filter_region_mask(values, occupancy, start, goal, empty_region_error):
+    """regions.filter_region's member mask from scipy.ndimage.label's
+    26-connected components of the thresholded, obstacle-free values.
+    Raises ValueError for an occupied start or goal and empty_region_error
+    (the library's EmptyRegionError) when neither lies in a component."""
+    for name, v in (("start", start), ("goal", goal)):
+        if occupancy[v]:
+            raise ValueError(f"{name} voxel {v} is occupied")
+    labels, _ = ndimage.label((values >= 0.5) & ~occupancy, structure=np.ones((3, 3, 3), dtype=bool))
+    keep = {labels[start], labels[goal]} - {0}
+    if not keep:
+        raise empty_region_error("no component holds start or goal")
+    mask = np.isin(labels, list(keep))
+    mask[start] = mask[goal] = True
+    return mask
+
+
+def reference_is_connected(mask, start, goal):
+    """regions.is_connected from scipy.ndimage.label's 26-connected
+    components of the member mask."""
+    if not (mask[start] and mask[goal]):
+        return False
+    labels, _ = ndimage.label(mask, structure=np.ones((3, 3, 3), dtype=bool))
+    return bool(labels[start] == labels[goal])
+
+
 def reference_extend_and_rewire(tree, x_new, grid, radius, d2):
     """planner.extend_and_rewire with an independent distance pass: it
     ignores the caller's d2 and scans every vertex from x_new itself. Must

@@ -16,6 +16,7 @@ from quadplan.grid import (
     ObstacleSpec,
     OccupancyGrid,
     PlacementError,
+    _scipy_extension,
     inflate,
     load_grid,
     random_cluttered_map,
@@ -24,7 +25,7 @@ from quadplan.grid import (
 )
 from quadplan.planner import PlannerConfig
 
-from oracles import reference_segment_voxels
+from oracles import reference_inflate, reference_segment_voxels
 
 
 def empty_grid(side=10, resolution=1.0, origin=(0.0, 0.0, 0.0)):
@@ -441,6 +442,23 @@ def test_inflate_matches_brute_force():
     assert np.array_equal(inflate(g, r).occupancy, expect)
 
 
+def test_inflate_matches_scipy_ndimage_binary_dilation():
+    """inflate equals scipy.ndimage's binary dilation by a (2r+1)^3 cube
+    for r = 0..4, on grids with 1-voxel axes and with r at or past a
+    dimension, where a shift moves the whole axis out."""
+    rng = np.random.default_rng(41)
+    shapes = [(8, 8, 8), (1, 7, 5), (6, 1, 1), (3, 9, 2), (1, 1, 1), (2, 3, 4), (12, 5, 9)]
+    for shape in shapes:
+        for density in (0.0, 0.02, 0.1, 0.4):
+            occ = rng.random(shape) < density
+            g = OccupancyGrid(occ, 0.5, (1.0, -2.0, 0.25))
+            for r in range(5):
+                got = inflate(g, r)
+                assert got.occupancy.dtype == bool
+                assert np.array_equal(got.occupancy, reference_inflate(occ, r)), (shape, density, r)
+                assert got.resolution == g.resolution and np.array_equal(got.origin, g.origin)
+
+
 def test_inflate_monotone():
     rng = np.random.default_rng(5)
     g = OccupancyGrid(rng.random((10, 10, 10)) < 0.05, 1.0)
@@ -449,6 +467,14 @@ def test_inflate_monotone():
         cur = inflate(g, r).occupancy
         assert np.all(cur[prev])  # occupied set only grows
         prev = cur
+
+
+def test_scipy_extension_missing_raises_import_error_naming_it():
+    """A scipy extension that is not there is an ImportError that names it;
+    the loader has no package import to fall back on."""
+    with pytest.raises(ImportError, match=r"scipy\.ndimage\._no_such_extension") as err:
+        _scipy_extension("ndimage", "_no_such_extension")
+    assert err.value.name == "scipy.ndimage._no_such_extension"
 
 
 # ------------------------------------------------------------------ generation

@@ -30,6 +30,8 @@ from oracles import (
     ReferenceRegionSampler,
     reference_astar_path,
     reference_dilate_path,
+    reference_filter_region_mask,
+    reference_is_connected,
     run_fresh_python,
 )
 
@@ -350,6 +352,71 @@ def test_filter_zeroes_occupied():
     assert not region.mask[3, 3, 3]
 
 
+def test_filter_region_rejects_an_occupied_start_or_goal():
+    """An occupied start or goal is a ValueError, as in astar_path: forcing
+    it into the region would put an obstacle there, and with both ends
+    occupied the filter used to report an empty region instead."""
+    full = HeuristicRegion(np.ones((6, 6, 6), dtype=np.float32))
+    g = grid_with([(0, 0, 0)], side=6)
+    with pytest.raises(ValueError, match="start voxel"):
+        filter_region(full, g, (0, 0, 0), (5, 5, 5))
+    with pytest.raises(ValueError, match="goal voxel"):
+        filter_region(full, g, (5, 5, 5), (0, 0, 0))
+    both = grid_with([(0, 0, 0), (5, 5, 5)], side=6)
+    with pytest.raises(ValueError, match="start voxel"):
+        filter_region(full, both, (0, 0, 0), (5, 5, 5))
+
+
+def test_filter_region_and_is_connected_match_ndimage_label():
+    """filter_region and is_connected equal their scipy.ndimage.label forms
+    on random regions and grids, thin axes included: the same members, the
+    same verdicts, and EmptyRegionError in the same cases."""
+    rng = np.random.default_rng(42)
+    shapes = [(8, 8, 8), (1, 9, 6), (5, 1, 1), (2, 7, 3), (10, 6, 4)]
+    empties = 0
+    for shape in shapes:
+        for density in (0.05, 0.3, 0.6, 0.9):
+            occ = rng.random(shape) < 0.15
+            occ.flat[rng.choice(occ.size, 2, replace=False)] = False
+            free = np.argwhere(~occ)
+            grid = OccupancyGrid(occ, 1.0)
+            vals = rng.random(shape).astype(np.float32) * (rng.random(shape) < density)
+            region = HeuristicRegion(vals)
+            for _ in range(4):
+                s, g = (tuple(free[i].tolist()) for i in rng.integers(len(free), size=2))
+                try:
+                    want = reference_filter_region_mask(vals, occ, s, g, EmptyRegionError)
+                except EmptyRegionError:
+                    empties += 1
+                    with pytest.raises(EmptyRegionError):
+                        filter_region(region, grid, s, g)
+                else:
+                    got = filter_region(region, grid, s, g)
+                    assert np.array_equal(got.mask, want), (shape, density, s, g)
+                    assert is_connected(got, s, g) == reference_is_connected(want, s, g)
+                assert is_connected(region, s, g) == reference_is_connected(region.mask, s, g)
+    assert empties > 0
+
+
+def test_labels_match_scipy_ndimage_label_bit_for_bit():
+    """The component labels come from scipy.ndimage.label's own routine,
+    loaded alone: in a fresh process, the labels of random masks equal the
+    package's (intp output) byte for byte when the package is imported
+    after the lone load."""
+    assert run_fresh_python([
+        "import numpy as np",
+        "from quadplan.regions import _CUBE, _labels",
+        "rng = np.random.default_rng(43)",
+        "shapes = [(8, 8, 8), (1, 9, 6), (5, 1, 1), (12, 7, 3)]",
+        "masks = [rng.random(sh) < d for sh in shapes for d in (0.0, 0.1, 0.4, 1.0)]",
+        "got = [_labels(m) for m in masks]",
+        "from scipy import ndimage",
+        "want = [ndimage.label(m, structure=_CUBE, output=np.intp) for m in masks]",
+        "print(all(g.dtype == l.dtype and g.tobytes() == l.tobytes() for g, (l, _) in zip(got, want)))",
+        "print(sum(n for _, n in want) > len(masks))",
+    ]) == ["True", "True"]
+
+
 # --------------------------------------------------------------------- metrics
 
 
@@ -392,10 +459,14 @@ def test_import_leaves_scipy_spatial_unloaded():
 
 
 def test_default_pipeline_leaves_scipy_ndimage_unloaded():
-    """scipy.ndimage is imported by inflate, filter_region and is_connected
-    alone, on first call: importing the package and a default
-    plan_trajectory (no region, no inflation) do not pay for it, and the
-    three work once it is loaded."""
+    """Importing the package and a default plan_trajectory (no region, no
+    inflation) load no scipy.ndimage. Nor do inflate, filter_region,
+    is_connected and a solve: inflation is numpy alone, and labelling and
+    the banded solve load their scipy extensions without the scipy.ndimage,
+    scipy.linalg, scipy.sparse and scipy.special packages, where the first
+    call of any of the three used to import scipy.ndimage whole. The one
+    module under those names is the LAPACK extension, which registers
+    itself when loaded."""
     assert run_fresh_python([
         "import sys",
         "import numpy as np",
@@ -404,6 +475,7 @@ def test_default_pipeline_leaves_scipy_ndimage_unloaded():
         "from quadplan.pipeline import PipelineConfig, plan_trajectory",
         "from quadplan.planner import PlannerConfig",
         "from quadplan.regions import filter_region, is_connected, oracle_region",
+        "heavy = ('scipy.ndimage', 'scipy.linalg', 'scipy.sparse', 'scipy.special')",
         "print('scipy.ndimage' in sys.modules)",
         "occ = np.zeros((10, 10, 10), dtype=bool)",
         "occ[4:6, :7, :] = True",
@@ -416,8 +488,9 @@ def test_default_pipeline_leaves_scipy_ndimage_unloaded():
         "print(int(inflate(grid, 1).occupancy.sum()))",
         "ends = (1, 1, 5), (8, 1, 5)",
         "region = filter_region(oracle_region(grid, *ends), grid, *ends)",
-        "print(is_connected(region, *ends), 'scipy.ndimage' in sys.modules)",
-    ]) == ["False", "True", "False", "320", "True", "True"]
+        "print(is_connected(region, *ends), any(p in sys.modules for p in heavy))",
+        "print(*sorted(m for m in sys.modules if m.startswith(heavy)))",
+    ]) == ["False", "True", "False", "320", "True", "False", "scipy.linalg._flapack"]
 
 
 def test_safety_penalty_cases():

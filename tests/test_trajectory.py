@@ -10,7 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quadplan.trajectory as trajectory_module
-from quadplan.grid import ObstacleSpec, OccupancyGrid, random_cluttered_map, segment_collision_free
+from quadplan.grid import (
+    ObstacleSpec,
+    OccupancyGrid,
+    _scipy_extension,
+    random_cluttered_map,
+    segment_collision_free,
+)
 from quadplan.pipeline import flat_flag_at
 from quadplan.trajectory import (
     BandedSystem,
@@ -413,7 +419,7 @@ def test_banded_plu_solve_matches_scipy_linalg_lapack_bit_for_bit():
 
     from scipy.linalg import lapack
 
-    assert trajectory_module._lapack().dgbtrf is lapack.dgbtrf
+    assert _scipy_extension("linalg", "_flapack").dgbtrf is lapack.dgbtrf
     for sys, x in zip(systems, got):
         lu, ipiv, info = lapack.dgbtrf(sys.band, sys.kl, sys.ku)
         assert info == 0
