@@ -469,6 +469,9 @@ def test_inflate_monotone():
         prev = cur
 
 
+# ----------------------------------------------------------- scipy extensions
+
+
 def test_scipy_extension_missing_raises_import_error_naming_it():
     """A scipy extension that is not there is an ImportError that names it;
     the loader has no package import to fall back on."""
