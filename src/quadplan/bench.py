@@ -13,10 +13,10 @@ from functools import partial
 import numpy as np
 
 from .grid import GoalRegion, OccupancyGrid, ObstacleSpec, random_cluttered_map
-from .pipeline import PipelineConfig, back_end_spec, plan_front_end
+from .pipeline import PipelineConfig, plan_back_end, plan_front_end
 from .planner import PlannerConfig
 from .regions import NoPathError
-from .trajectory import BivpSpec, control_effort, solve_bivp
+from .trajectory import RepairExhaustedError, SingularSystemError, control_effort
 
 
 @dataclass
@@ -115,9 +115,9 @@ def run_trial(
     max_iterations: int = 30000,
     target_cost: float | None = None,
 ) -> TrialRecord:
-    """Single seeded planning run plus back-end solve timings (s=3 and s=4,
-    assembly included) on the waypoints plan_trajectory would solve, and the
-    control effort of the timed s=3 solution. Region sampling, v_max and
+    """Single seeded planning run plus plan_back_end's timings at s=3 and
+    s=4, and the control effort of the repaired s=3 trajectory; a back end
+    that fails makes the trial unsuccessful. Region sampling, v_max and
     a_max take the defaults of PlannerConfig and PipelineConfig."""
     planner = PlannerConfig(step=step, goal=case.goal, max_iterations=max_iterations,
                             target_cost=target_cost, rng_seed=seed)
@@ -139,14 +139,15 @@ def run_trial(
         rec.opt_time_ms = 1e3 * st.optimal_time
     rec.final_cost = result.cost
 
-    jerk = back_end_spec(case.grid, result.path, PipelineConfig(planner, s=3))
-    snap = BivpSpec.rest_to_rest(jerk.waypoints, jerk.durations, 4)
-    for spec, attr in ((jerk, "jerk_solve_ms"), (snap, "snap_solve_ms")):
-        t0 = time.perf_counter()
-        traj = solve_bivp(spec)
-        setattr(rec, attr, 1e3 * (time.perf_counter() - t0))
-        if spec is jerk:
-            rec.effort = control_effort(traj)
+    try:
+        for s, attr in ((3, "jerk_solve_ms"), (4, "snap_solve_ms")):
+            t0 = time.perf_counter()
+            _, traj = plan_back_end(case.grid, result.path, PipelineConfig(planner, s=s))
+            setattr(rec, attr, 1e3 * (time.perf_counter() - t0))
+            if s == 3:
+                rec.effort = control_effort(traj)
+    except (RepairExhaustedError, SingularSystemError):
+        rec.success = False
     return rec
 
 

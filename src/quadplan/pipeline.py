@@ -110,18 +110,20 @@ def plan_front_end(
     return plan(grid, start, planner_cfg, mode=mode, region=region)
 
 
-def back_end_spec(grid: OccupancyGrid, path: np.ndarray, cfg: PipelineConfig) -> BivpSpec:
-    """The back end's rest-to-rest problem of order cfg.s: the front-end path
-    pruned of collinear waypoints, timed by trapezoidal allocation. Repair
-    converges only from a collision-free polyline, and the chord that
-    replaces pruned vertices can cut a corner the front end's edges went
-    around; then the unpruned path is timed instead."""
+def plan_back_end(grid: OccupancyGrid, path: np.ndarray,
+                  cfg: PipelineConfig) -> tuple[BivpSpec, PiecewisePolynomial]:
+    """Back end of the hierarchy: the rest-to-rest spec of order cfg.s on the
+    front-end path pruned of collinear waypoints, timed by trapezoidal
+    allocation, and its repaired solve. Repair converges only from a
+    collision-free polyline; where a pruned chord cuts a corner the front
+    end's edges went around, the unpruned path is timed instead."""
     waypoints = prune_collinear(path)
     pts = waypoints.tolist()
     if not all(segment_collision_free(grid, a, b) for a, b in zip(pts, pts[1:])):
         waypoints = path
     durations = trapezoidal_time_allocation(waypoints, cfg.v_max, cfg.a_max)
-    return BivpSpec.rest_to_rest(waypoints, durations, cfg.s)
+    spec = BivpSpec.rest_to_rest(waypoints, durations, cfg.s)
+    return spec, collision_repair(solve_bivp(spec), spec, grid, cfg.v_max, cfg.a_max)
 
 
 def plan_trajectory(
@@ -133,9 +135,10 @@ def plan_trajectory(
     region: HeuristicRegion | None = None,
 ) -> PipelineResult:
     """Full pipeline: inflation -> front end (region, RRT* in the given
-    mode) -> back_end_spec (waypoint pruning, time allocation) -> spline
-    solve -> collision repair. The returned trajectory passes the exact
-    collision checker and reproduces the rest-to-rest boundary flags.
+    mode) -> plan_back_end on the uninflated grid. The returned trajectory
+    reproduces the rest-to-rest boundary flags and passes repair's check:
+    samples at most resolution / (2 v_max) s apart, joined by exact-walk
+    chords, are free. A graze between samples can pass it (ROADMAP item 1).
 
     goal must equal cfg.planner.goal; a different one is a ValueError."""
     if goal != cfg.planner.goal:
@@ -145,8 +148,7 @@ def plan_trajectory(
     if result.path is None:
         raise PlanningFailure(f"no path within {cfg.planner.max_iterations} iterations")
 
-    spec = back_end_spec(grid, result.path, cfg)
-    traj = collision_repair(solve_bivp(spec), spec, grid, cfg.v_max, cfg.a_max)
+    spec, traj = plan_back_end(grid, result.path, cfg)
     return PipelineResult(traj, result.stats, spec.waypoints, result.cost)
 
 

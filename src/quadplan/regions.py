@@ -65,8 +65,8 @@ class HeuristicRegion:
 
     def __post_init__(self):
         vals = _read_only_copy(self.values, np.float32)
-        if vals.ndim != 3:
-            raise ValueError("region values must be a 3D array")
+        if vals.ndim != 3 or min(vals.shape) < 1:
+            raise ValueError("region values must be a 3D array with all dims >= 1")
         if np.any(vals < 0.0) or np.any(vals > 1.0) or not np.all(np.isfinite(vals)):
             raise ValueError("region values must lie in [0, 1]")
         object.__setattr__(self, "values", vals)

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+import quadplan.pipeline
 from quadplan.bench import (
     CSV_COLUMNS,
     AggregateReport,
@@ -18,16 +19,15 @@ from quadplan.bench import (
 )
 from quadplan.cli import main
 from quadplan.grid import GoalRegion, load_grid
-from quadplan.pipeline import PipelineConfig, plan_front_end, plan_trajectory, prune_collinear
+from quadplan.pipeline import PipelineConfig, plan_back_end, plan_front_end, plan_trajectory
 from quadplan.planner import PlannerConfig
 from quadplan.regions import load_region, oracle_region
 from quadplan.trajectory import (
-    BivpSpec,
+    RepairExhaustedError,
+    SingularSystemError,
     control_effort,
     load_trajectory,
     save_trajectory,
-    solve_bivp,
-    trapezoidal_time_allocation,
 )
 
 
@@ -164,13 +164,31 @@ def test_run_trial_solve_timings():
     assert rec.jerk_solve_ms >= 0.0 and rec.snap_solve_ms >= 0.0
     assert rec.effort > 0.0
     assert math.isfinite(rec.final_cost)
-    # The effort comes from the timed s=3 solve, and equals that of the
-    # pipeline's own solve of the same waypoints.
+    # The effort is that of the repaired s=3 trajectory plan_back_end makes
+    # from the front end's path.
     cfg = PlannerConfig(step=2.0, goal=case.goal, max_iterations=30000, target_cost=1e18,
                         rng_seed=1)
-    waypoints = prune_collinear(plan_front_end(case.grid, case.start, cfg).path)
-    spec = BivpSpec.rest_to_rest(waypoints, trapezoidal_time_allocation(waypoints, 2.0, 1.0), 3)
-    assert repr(rec.effort) == repr(control_effort(solve_bivp(spec)))
+    path = plan_front_end(case.grid, case.start, cfg).path
+    _, traj = plan_back_end(case.grid, path, PipelineConfig(cfg, s=3))
+    assert repr(rec.effort) == repr(control_effort(traj))
+
+
+@pytest.mark.parametrize("error", [RepairExhaustedError, SingularSystemError])
+def test_run_benchmark_records_a_failed_back_end_and_goes_on(monkeypatch, error):
+    """A back end that raises ends its trial unsuccessful, with the front
+    end's columns kept, rather than aborting the sweep. The bench used to
+    skip repair, so a trajectory repair rejects was reported as a success."""
+    def fail(*args):
+        raise error("stand-in")
+
+    monkeypatch.setattr(quadplan.pipeline, "collision_repair", fail)
+    case = paperlike_maps(1, seed=4)[0]
+    report = run_benchmark([case], ["heuristic"], trials=1, seed_base=1, target_cost=1e18)
+    (rec,) = report.records
+    assert not rec.success
+    assert rec.init_iter >= rec.init_nodes >= 1 and math.isfinite(rec.final_cost)
+    assert rec.jerk_solve_ms is None and rec.snap_solve_ms is None and rec.effort is None
+    assert report.summary[(case.name, "heuristic")]["success_rate"] == 0.0
 
 
 # ------------------------------------------------------------------------- CLI

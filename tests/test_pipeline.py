@@ -33,7 +33,6 @@ from quadplan.trajectory import (
     collision_repair,
     control_effort,
     solve_bivp,
-    trapezoidal_time_allocation,
 )
 
 from oracles import random_bivp_spec, reference_eval, reference_yaw_samples
@@ -356,11 +355,10 @@ def test_colliding_pruned_polyline_falls_back_to_the_front_end_path(cube38_375):
 
 
 def test_run_trial_solves_the_waypoints_plan_trajectory_solves(cube38_375):
-    """run_trial's effort is that of the s=3 solve of plan_trajectory's
-    waypoints; it used to solve the colliding pruned polyline instead."""
+    """run_trial's effort is that of plan_trajectory's repaired trajectory.
+    It used to solve the colliding pruned polyline, and then the unrepaired
+    solve of plan_trajectory's waypoints."""
     wl, inp, out = cube38_375
     rec = run_trial(inp.case, "heuristic", inp.planner_seed, step=W.STEP,
                     max_iterations=W.MAX_ITERATIONS)
-    cfg = wl.config(inp)
-    durations = trapezoidal_time_allocation(out.path, cfg.v_max, cfg.a_max)
-    assert rec.effort == control_effort(solve_bivp(BivpSpec.rest_to_rest(out.path, durations, 3)))
+    assert rec.effort == control_effort(out.trajectory)

@@ -102,6 +102,14 @@ def test_region_validation():
     assert r.values.min() == 1.0 and len(r.member_indices()) == 8
 
 
+@pytest.mark.parametrize("shape", [(0, 2, 2), (2, 0, 2), (2, 2, 0)])
+def test_region_rejects_an_empty_axis(shape):
+    """As OccupancyGrid does. It used to be accepted, and save_region then
+    wrote a file load_region refuses ("nonpositive dims")."""
+    with pytest.raises(ValueError, match="dims >= 1"):
+        HeuristicRegion(np.zeros(shape, dtype=np.float32))
+
+
 # -------------------------------------------------------------------------- A*
 
 

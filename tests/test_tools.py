@@ -1,5 +1,5 @@
-"""tools/bench_pairs.py: seed lists, the per-metric pair summary, the
-commit checkout and the file it writes."""
+"""tools/bench_pairs.py: seed lists, the per-metric pair summary and
+verdicts, the commit checkout and the file it writes."""
 
 import importlib.util
 import json
@@ -39,11 +39,19 @@ def test_summary_counts_better_pairs_by_direction_and_ties_for_neither():
     assert p50["change_better_pairs"] == 2 and rate["change_better_pairs"] == 2
     assert p50["parent_q1_median_q3"] == [5.15, 5.35, 5.625]
     assert rate["change_q1_median_q3"] == [165.0, 187.5, 216.25]
+    assert not p50["change_beat_every_parent_run"] and not rate["change_beat_every_parent_run"]
 
 
-def _row(parent, change, better, pairs=10):
+def test_summary_tells_whether_every_change_run_beat_every_parent_run():
+    pairs = [_pair((5.0, 200.0), (4.0, 201.0)), _pair((6.0, 150.0), (4.9, 199.0))]
+    metrics = [{"name": "op_ms_p50", "better": "lower"}, {"name": "ops_per_s", "better": "higher"}]
+    p50, rate = bench_pairs.summary(pairs, metrics)
+    assert p50["change_beat_every_parent_run"] and not rate["change_beat_every_parent_run"]
+
+
+def _row(parent, change, better, pairs=10, apart=False):
     return {"pairs": pairs, "parent_q1_median_q3": parent, "change_q1_median_q3": change,
-            "change_better_pairs": better}
+            "change_better_pairs": better, "change_beat_every_parent_run": apart}
 
 
 @pytest.mark.parametrize("row, lower, want", [
@@ -59,12 +67,27 @@ def test_verdict_needs_nine_tenths_of_ten_pairs_and_a_median_gap_beyond_the_pare
     assert bench_pairs.verdict(row, lower) == want
 
 
+@pytest.mark.parametrize("row, lower, want", [
+    (_row([60.0, 61.0, 62.0], [60.0, 62.0, 64.0], 3), True, "held"),
+    (_row([79.0, 80.0, 81.0], [99.0, 100.0, 101.0], 0), True, "held"),  # worse by the bound, no more
+    (_row([60.0, 61.0, 62.0], [75.0, 80.0, 85.0], 0), True, "worse"),  # 19 > 0.25 * 61
+    (_row([40.0, 61.0, 90.0], [57.0, 58.0, 59.0], 7), True, "unresolved"),  # Q3 - Q1 > 0.25 * 61
+    (_row([40.0, 61.0, 90.0], [57.0, 58.0, 59.0], 10, apart=True), True, "held"),
+    (_row([40.0, 61.0, 90.0], [80.0, 99.0, 120.0], 0), True, "unresolved"),
+    (_row([100.0, 110.0, 120.0], [95.0, 100.0, 105.0], 2), False, "held"),
+    (_row([100.0, 110.0, 120.0], [70.0, 80.0, 90.0], 0), False, "worse"),  # 30 > 0.25 * 110
+])
+def test_held_is_no_worse_than_the_bound_or_unresolved_when_the_parent_spread_exceeds_it(row, lower, want):
+    assert bench_pairs.held(row, lower, 0.25) == want
+
+
 def test_main_prints_every_metric_per_pair_and_a_verdict_per_metric(tmp_path, monkeypatch, capsys):
     """Each pair's line shows every end-to-end metric, parent -> change,
-    and the summary ends with one verdict per metric. Git, the checkout
+    and the summary ends with the two verdicts per metric. Git, the checkout
     and the runs are stand-ins: nothing is run outside tmp_path."""
     (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
-        {"name": "op_ms_p50", "better": "lower"}, {"name": "peak_rss_mb", "better": "lower"}]}))
+        {"name": "op_ms_p50", "better": "lower", "bound": 0.25},
+        {"name": "peak_rss_mb", "better": "lower", "bound": 0.1}]}))
 
     def run_once(tree, workload, seed, seconds):
         rss = 60.0 + seed / 100 if tree.name == "change" else 77.0 + seed / 100
@@ -80,7 +103,7 @@ def test_main_prints_every_metric_per_pair_and_a_verdict_per_metric(tmp_path, mo
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == ("pipeline seed 1 (parent -> change): op_ms_p50 11.500 -> 11.500, "
                         "peak_rss_mb 77.010 -> 60.010")
-    assert lines[-2:] == ["op_ms_p50    not shown", "peak_rss_mb  gain shown"]
+    assert lines[-2:] == ["op_ms_p50    not shown, held", "peak_rss_mb  gain shown, held"]
 
 
 @pytest.mark.skipif(not (bench_pairs.ROOT / ".git").exists(), reason="needs the git repository")
@@ -106,7 +129,7 @@ def test_each_workload_records_its_own_seconds(tmp_path, monkeypatch):
     the checkout and the runs are stand-ins: nothing is run or written
     outside tmp_path."""
     (tmp_path / "BENCHMARK.json").write_text(json.dumps(
-        {"end_to_end": [{"name": "op_ms_p50", "better": "lower"}]}))
+        {"end_to_end": [{"name": "op_ms_p50", "better": "lower", "bound": 0.25}]}))
     runs = []
 
     def run_once(tree, workload, seed, seconds):

@@ -11,13 +11,15 @@ first on odd ones, so a drift of the host's speed favours neither side.
 
 The file keeps, per workload, its ``--seconds``, each side's last JSON line
 per pair and the ``load_warning`` of each run's report, and a summary per
-end-to-end metric of BENCHMARK.json: each side's quartiles and the number of
-pairs in which the change was better (ties count for neither). Running it
+end-to-end metric of BENCHMARK.json: each side's quartiles, the number of
+pairs in which the change was better (ties count for neither) and whether
+every change run was better than every parent run. Running it
 again with another workload and the same two commits adds that workload to
 the file, at its own ``--seconds``.
 
-It prints each pair's end-to-end metrics as it goes, then the summary and a
-verdict per metric: "gain shown" or "not shown" (see ``verdict``).
+It prints each pair's end-to-end metrics as it goes, then the summary and two
+verdicts per metric: "gain shown" or "not shown" (see ``verdict``), and
+"held", "worse" or "unresolved" against the metric's bound (see ``held``).
 """
 
 from __future__ import annotations
@@ -81,16 +83,19 @@ def quartiles(values: list[float]) -> list[float]:
 
 
 def summary(pairs: list[dict], metrics: list[dict]) -> list[dict]:
-    """Per metric of BENCHMARK.json's end_to_end list: both sides' quartiles
-    and the pairs in which the change was better."""
+    """Per metric of BENCHMARK.json's end_to_end list: both sides' quartiles,
+    the pairs in which the change was better, and whether every change run
+    was better than every parent run."""
     out = []
     for spec in metrics:
         name, lower = spec["name"], spec["better"] == "lower"
         parent = [p["parent"]["metrics"][name]["value"] for p in pairs]
         change = [p["change"]["metrics"][name]["value"] for p in pairs]
         better = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
+        apart = max(change) < min(parent) if lower else min(change) > max(parent)
         out.append({"metric": name, "pairs": len(pairs), "parent_q1_median_q3": quartiles(parent),
-                    "change_q1_median_q3": quartiles(change), "change_better_pairs": better})
+                    "change_q1_median_q3": quartiles(change), "change_better_pairs": better,
+                    "change_beat_every_parent_run": apart})
     return out
 
 
@@ -103,6 +108,20 @@ def verdict(row: dict, lower: bool) -> str:
     gain = parent_median - change_median if lower else change_median - parent_median
     shown = row["pairs"] >= 10 and 10 * row["change_better_pairs"] >= 9 * row["pairs"] and gain > q3 - q1
     return "gain shown" if shown else "not shown"
+
+
+def held(row: dict, lower: bool, bound: float) -> str:
+    """"unresolved" when the parent's quartile spread is wider than the
+    bound (relative to its median), unless every change run beat every
+    parent run; else "worse" when the change's median is worse than the
+    parent's by more than the bound, and "held" when it is not."""
+    q1, parent_median, q3 = row["parent_q1_median_q3"]
+    allowed = bound * abs(parent_median)
+    if q3 - q1 > allowed and not row["change_beat_every_parent_run"]:
+        return "unresolved"
+    change_median = row["change_q1_median_q3"][1]
+    loss = change_median - parent_median if lower else parent_median - change_median
+    return "worse" if loss > allowed else "held"
 
 
 def main(argv=None) -> None:
@@ -165,7 +184,8 @@ def main(argv=None) -> None:
         print(f"{row['metric']:12s} parent {row['parent_q1_median_q3']} change "
               f"{row['change_q1_median_q3']} better {row['change_better_pairs']}/{row['pairs']}")
     for row, spec in zip(rows, metrics):
-        print(f"{row['metric']:12s} {verdict(row, spec['better'] == 'lower')}")
+        lower = spec["better"] == "lower"
+        print(f"{row['metric']:12s} {verdict(row, lower)}, {held(row, lower, spec['bound'])}")
 
 
 if __name__ == "__main__":
